@@ -3,7 +3,7 @@
 Expands the full decoupled + coupled component grid of the
 ``component-grid`` scenario (``repro-bench scenario run
 component-grid``), runs every synthesized scheduler and the paper's six
-BNP monoliths over a small RGNOS panel on a bounded 8-processor
+BNP designs over a small RGNOS panel on a bounded 8-processor
 machine, and ranks them by mean NSL — the estee-style question: do any
 component hybrids beat the named designs they generalise?
 

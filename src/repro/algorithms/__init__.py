@@ -23,11 +23,13 @@ BU          APN    Mehdiratta & Ghose (1994)
 BSA         APN    Kwok & Ahmad (1995)
 ==========  =====  =========================================
 
-Beyond the 15 monoliths, :func:`get_scheduler` also accepts ``param:``
-component spec strings (``"param:prio=blevel,ready=prio,proc=etf,
-insert=off"``) that synthesize a BNP list scheduler from pluggable
-components; the six BNP rows above are reproducible bit-for-bit as
-named points of that space (see :mod:`repro.algorithms.components`).
+The six BNP rows are one list scheduler: each acronym names a point of
+the component space in :mod:`repro.algorithms.components`, and
+:func:`get_scheduler` also accepts any other point as a ``param:``
+spec string (``"param:prio=blevel,ready=prio,proc=etf,insert=off"``).
+The UNC and APN rows are classes of their own.  MD, DCP, BU and BSA
+time their mappings through the one fixed-order executor,
+:func:`execute_fixed_order`.
 """
 
 from .base import (
@@ -37,11 +39,11 @@ from .base import (
     list_schedulers,
     register,
 )
-from . import bnp, unc, apn  # noqa: F401  (imports register the algorithms)
+from . import unc, apn  # noqa: F401  (imports register the algorithms)
 from .components import BNP_SPECS, ParamScheduler, SchedulerSpec, parse_spec
-from .apn import BSA, BU, DLSAPN, MH, cpn_dominant_list, simulate_on_network
-from .bnp import DLS, ETF, HLFET, ISH, LAST, MCP
+from .apn import BSA, BU, DLSAPN, MH, cpn_dominant_list
 from .mapping import (
+    execute_fixed_order,
     mapping_makespan,
     schedule_from_mapping,
     simulate_fixed_sequences,
@@ -58,12 +60,6 @@ __all__ = [
     "ParamScheduler",
     "SchedulerSpec",
     "parse_spec",
-    "HLFET",
-    "ISH",
-    "MCP",
-    "ETF",
-    "DLS",
-    "LAST",
     "EZ",
     "LC",
     "DSC",
@@ -74,7 +70,7 @@ __all__ = [
     "BU",
     "BSA",
     "cpn_dominant_list",
-    "simulate_on_network",
+    "execute_fixed_order",
     "mapping_makespan",
     "schedule_from_mapping",
     "simulate_fixed_sequences",

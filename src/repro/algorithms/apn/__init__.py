@@ -10,7 +10,5 @@ from .bsa import BSA, cpn_dominant_list
 from .bu import BU
 from .dls_apn import DLSAPN
 from .mh import MH
-from .netsim import simulate_on_network
 
-__all__ = ["MH", "DLSAPN", "BU", "BSA", "cpn_dominant_list",
-           "simulate_on_network"]
+__all__ = ["MH", "DLSAPN", "BU", "BSA", "cpn_dominant_list"]

@@ -37,7 +37,7 @@ from ...core.graph import TaskGraph
 from ...core.machine import Machine, NetworkMachine
 from ...core.schedule import Schedule
 from ..base import Scheduler, register
-from .netsim import simulate_on_network
+from ..mapping import execute_fixed_order
 
 __all__ = ["BSA", "cpn_dominant_list"]
 
@@ -105,7 +105,7 @@ class BSA(Scheduler):
         sequences: List[List[int]] = [[] for _ in range(p_count)]
         sequences[pivot] = list(order)
 
-        best_sched = simulate_on_network(graph, topo, sequences)
+        best_sched = execute_fixed_order(graph, sequences, topo)
         best_len = best_sched.length
 
         # Breadth-first processor order from the pivot.
@@ -131,7 +131,7 @@ class BSA(Scheduler):
                     trial = [list(s) for s in sequences]
                     trial[current].remove(node)
                     _insert_by_order(trial[nb], node, topo_pos)
-                    sched = simulate_on_network(graph, topo, trial)
+                    sched = execute_fixed_order(graph, trial, topo)
                     key = (sched.length, sched.start_of(node), nb)
                     if best_move is None or key < best_move:
                         best_move = key

@@ -24,7 +24,7 @@ from ...core.graph import TaskGraph
 from ...core.machine import Machine, NetworkMachine
 from ...core.schedule import Schedule
 from ..base import Scheduler, register
-from .netsim import simulate_on_network
+from ..mapping import execute_fixed_order
 
 __all__ = ["BU"]
 
@@ -63,4 +63,4 @@ class BU(Scheduler):
         sequences: List[List[int]] = [[] for _ in range(p_count)]
         for node in graph.topological_order:
             sequences[proc_of[node]].append(node)
-        return simulate_on_network(graph, topo, sequences)
+        return execute_fixed_order(graph, sequences, topo)

@@ -4,11 +4,11 @@ The original DLS targets "interconnection-constrained" architectures:
 the dynamic level ``DL(n, p) = SL(n) - EST(n, p)`` is evaluated with
 message delays taken from the actual state of the interconnect, and the
 (ready node, processor) pair with the highest level wins.  This is the
-APN member of the DLS family (the clique variant lives in
-:mod:`repro.algorithms.bnp.dls`); the paper registers its running time
-as the largest of the APN class (it probes every ready-node/processor
-pair every step) with performance "relatively stable with respect to the
-graph size".
+APN member of the DLS family (the clique variant, ``DLS``, is the
+component loop's ``proc=dls`` selector); the paper registers its
+running time as the largest of the APN class (it probes every
+ready-node/processor pair every step) with performance "relatively
+stable with respect to the graph size".
 """
 
 from __future__ import annotations

@@ -6,10 +6,11 @@ mirror the paper's taxonomy (Section 3/4): the class (BNP/UNC/APN) and
 the design-decision flags the paper's analysis keys on (critical-path
 based?, dynamic priority?, insertion?).
 
-Algorithms self-register via the :func:`register` decorator; lookups go
-through :func:`get_scheduler` / :func:`list_schedulers`.  Besides the
-registered acronyms, :func:`get_scheduler` resolves *component spec*
-strings (``param:prio=blevel,ready=fifo,proc=est,insert=on``) into
+Algorithms self-register via :func:`register` (a class decorator that
+also takes a ready instance); lookups go through :func:`get_scheduler`
+/ :func:`list_schedulers`.  Besides the registered acronyms,
+:func:`get_scheduler` resolves *component spec* strings
+(``param:prio=blevel,ready=fifo,proc=est,insert=on``) into
 parameterized schedulers assembled by
 :mod:`repro.algorithms.components` — every layer that takes an
 algorithm name (benchmarks, scenarios, adversarial search, the
@@ -19,7 +20,7 @@ simulator) therefore accepts synthesized schedulers for free.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Type
+from typing import Dict, List, Optional, Type, TypeVar, Union
 
 from ..core.graph import TaskGraph
 from ..core.machine import Machine, NetworkMachine
@@ -36,7 +37,8 @@ __all__ = [
 
 SCHEDULER_CLASSES = ("BNP", "UNC", "APN")
 
-_REGISTRY: Dict[str, Type["Scheduler"]] = {}
+#: Upper-cased name -> the one shared instance (schedulers are stateless).
+_REGISTRY: Dict[str, "Scheduler"] = {}
 
 
 class Scheduler(abc.ABC):
@@ -85,15 +87,27 @@ class Scheduler(abc.ABC):
         return f"<{self.klass} scheduler {self.name}>"
 
 
-def register(cls: Type[Scheduler]) -> Type[Scheduler]:
-    """Class decorator adding ``cls`` to the global registry."""
-    key = cls.name.upper()
-    if key in _REGISTRY and _REGISTRY[key] is not cls:
-        raise ValueError(f"duplicate scheduler name {cls.name!r}")
-    if cls.klass not in SCHEDULER_CLASSES:
-        raise ValueError(f"{cls.name}: unknown class {cls.klass!r}")
-    _REGISTRY[key] = cls
-    return cls
+_Registrable = TypeVar("_Registrable",
+                        bound=Union[Type[Scheduler], Scheduler])
+
+
+def register(obj: _Registrable) -> _Registrable:
+    """Add a scheduler to the global registry under its ``name``.
+
+    ``obj`` is either a :class:`Scheduler` subclass — instantiated
+    once, so this doubles as a class decorator — or a ready instance,
+    which is how the parameterized scheduler registers the paper's six
+    BNP designs under their acronyms.
+    """
+    inst = obj() if isinstance(obj, type) else obj
+    key = inst.name.upper()
+    old = _REGISTRY.get(key)
+    if old is not None and type(old) is not obj and old is not obj:
+        raise ValueError(f"duplicate scheduler name {inst.name!r}")
+    if inst.klass not in SCHEDULER_CLASSES:
+        raise ValueError(f"{inst.name}: unknown class {inst.klass!r}")
+    _REGISTRY[key] = inst
+    return obj
 
 
 _INSTANCES: Dict[str, Scheduler] = {}
@@ -133,27 +147,19 @@ def get_scheduler(name: str) -> Scheduler:
             _INSTANCES[key] = inst
         return inst
     try:
-        cls = _REGISTRY[name.upper()]
+        return _REGISTRY[name.upper()]
     except KeyError:
         known = ", ".join(sorted(_REGISTRY))
         raise KeyError(
             f"unknown scheduler {name!r}; known: {known} "
             f"(or a 'param:' component spec / 'online:' spec)") from None
-    inst = _INSTANCES.get(name.upper())
-    if inst is None or type(inst) is not cls:
-        # ``type(inst) is not cls`` guards against re-registration
-        # under an existing key (tests do this): the memo must never
-        # outlive the class it instantiated.
-        inst = cls()
-        _INSTANCES[name.upper()] = inst
-    return inst
 
 
 def list_schedulers(klass: Optional[str] = None) -> List[str]:
     """Registered scheduler names, optionally filtered by class."""
     names = [
         name
-        for name, cls in _REGISTRY.items()
-        if klass is None or cls.klass == klass.upper()
+        for name, inst in _REGISTRY.items()
+        if klass is None or inst.klass == klass.upper()
     ]
     return sorted(names)

@@ -1,9 +1,9 @@
 """Composable scheduler components (Coleman et al.'s design space).
 
-The paper's six BNP schedulers are hand-written monoliths, but each is
-one point in a four-axis space: **priority rule** × **ready-pool
-policy** × **processor selector** × **insertion policy**.  This package
-makes the axes explicit —
+Each of the paper's six BNP schedulers is one point in a four-axis
+space: **priority rule** × **ready-pool policy** × **processor
+selector** × **insertion policy**.  This package makes the axes
+explicit —
 
 =========  =============================  ==========================
 Axis       Registry                       Values
@@ -20,9 +20,10 @@ Axis       Registry                       Values
 combination on the flat-array kernel.  ``repro.get_scheduler`` resolves
 spec strings (``param:prio=blevel,ready=fifo,proc=est,insert=on``)
 directly, so synthesized schedulers flow through benchmarks, scenarios
-and the adversarial engine as ordinary names.  :data:`BNP_SPECS` names
-the six paper designs; each is placement-identical to its monolith on
-the golden differential corpus.
+and the adversarial engine as ordinary names.  :data:`BNP_DESIGNS`
+names the six paper designs; the registry serves each acronym
+(``"MCP"``) as the :class:`ParamScheduler` at its coordinates, so the
+one component loop is the only BNP list scheduler in the package.
 """
 
 from .insertion import INSERTION_POLICIES, InsertionPolicy
@@ -32,8 +33,10 @@ from .scheduler import ParamScheduler
 from .selectors import PROC_SELECTORS, ProcSelector
 from .spec import (
     AXES,
+    BNP_DESIGNS,
     BNP_SPECS,
     SPEC_PREFIX,
+    PaperDesign,
     SchedulerSpec,
     expand_param_grid,
     parse_spec,
@@ -41,6 +44,7 @@ from .spec import (
 
 __all__ = [
     "AXES",
+    "BNP_DESIGNS",
     "BNP_SPECS",
     "SPEC_PREFIX",
     "INSERTION_POLICIES",
@@ -48,6 +52,7 @@ __all__ = [
     "PROC_SELECTORS",
     "READY_POLICIES",
     "InsertionPolicy",
+    "PaperDesign",
     "ParamScheduler",
     "PriorityRule",
     "PriorityState",

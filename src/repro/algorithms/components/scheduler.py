@@ -8,11 +8,11 @@ the pool *after* the priority rule's dynamic update (the order the LAST
 invariant requires), and the insertion policy may back-fill the idle
 window the placement opened.
 
-For the six named specs in
-:data:`~repro.algorithms.components.spec.BNP_SPECS` this loop performs
-the monolith's operations in the monolith's order — same kernel calls,
-same tie-breaks, same epsilons — which is what the differential-corpus
-pinning tests lock down placement-for-placement.
+This loop is also the only implementation of the paper's six BNP
+schedulers: each acronym in
+:data:`~repro.algorithms.components.spec.BNP_DESIGNS` is registered as
+a :class:`ParamScheduler` at the design's coordinates, and the golden
+differential corpus pins every one of them placement-for-placement.
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ from ...core.machine import Machine
 from ...core.schedule import Schedule
 from ...obs import metrics as _metrics
 from ...obs import trace as _trace
-from ..base import Scheduler
+from ..base import Scheduler, register
 from .pools import ReadyPool
 from .priorities import PriorityState
-from .spec import SchedulerSpec
+from .spec import BNP_DESIGNS, SchedulerSpec
 
 __all__ = ["ParamScheduler", "run_component_loop"]
 
@@ -42,10 +42,13 @@ class ParamScheduler(Scheduler):
     flags are derived from the components: the scheduler is CP-based
     iff its priority rule is, dynamic iff the priority updates or the
     selector couples node and processor choice, and inserting iff the
-    insertion policy is not ``off``.
+    insertion policy is not ``off``.  :meth:`paper_design` builds one
+    of the paper's six schedulers under its acronym.
     """
 
     klass = "BNP"
+    #: One-line name and publication of a paper design; empty otherwise.
+    origin = ""
 
     def __init__(self, spec: SchedulerSpec):
         self.spec = spec
@@ -61,6 +64,16 @@ class ParamScheduler(Scheduler):
         self.uses_insertion = (self._insertion.slot
                                or self._insertion.hole_fill)
         self.complexity = "O(p v^2)" if self._selector.coupled else "O(v^2)"
+
+    @classmethod
+    def paper_design(cls, acro: str) -> "ParamScheduler":
+        """The paper's ``acro`` design, named and described as published."""
+        design = BNP_DESIGNS[acro]
+        inst = cls(design.spec)
+        inst.name = acro
+        inst.origin = design.origin
+        inst.complexity = design.complexity
+        return inst
 
     def _run(self, graph: TaskGraph, machine: Machine) -> Schedule:
         return run_component_loop(self.spec.components(), graph, machine)
@@ -158,3 +171,8 @@ def _fill_hole(schedule: Schedule, ready: ReadyTracker, pool: ReadyPool,
             break
         if not placed_any:
             break
+
+
+# The paper's six BNP schedulers, served by acronym from the registry.
+for _acro in BNP_DESIGNS:
+    register(ParamScheduler.paper_design(_acro))

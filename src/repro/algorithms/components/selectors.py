@@ -11,10 +11,9 @@ together — the ready-pool ordering is irrelevant to them, and the
 priority rule participates through its scalar ``value`` (ETF's
 tie-break, DLS's dynamic-level term).
 
-Each coupled selector reproduces the corresponding monolith's scan —
-same candidate shortlist, same arrival-profile reuse, same comparison
-keys — so composing it with the monolith's priority rule is
-placement-identical to the hand-written algorithm.
+Each coupled scan builds its candidate shortlist once per step, takes
+one arrival profile per ready node so every pair's start time is an
+O(1) query, and breaks remaining ties on node, then processor id.
 """
 
 from __future__ import annotations

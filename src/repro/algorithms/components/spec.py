@@ -10,16 +10,17 @@ identity for lookup, result stores and scenario documents alike.  Axes
 always render in the fixed order above with every axis spelled out, so
 two spellings of the same combination can never produce two cache keys.
 
-:data:`BNP_SPECS` pins the paper's six BNP schedulers to their
-component coordinates; the differential-corpus tests hold each of these
-specs placement-identical to its hand-written monolith.
+:data:`BNP_DESIGNS` pins the paper's six BNP schedulers to their
+component coordinates (:data:`BNP_SPECS` is the coordinates alone);
+the registry serves each acronym as the parameterized scheduler at its
+coordinates, and the golden differential corpus pins every placement.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping, NamedTuple, Sequence
 
 from .insertion import INSERTION_POLICIES
 from .pools import READY_POLICIES
@@ -28,7 +29,9 @@ from .selectors import PROC_SELECTORS
 
 __all__ = [
     "AXES",
+    "BNP_DESIGNS",
     "BNP_SPECS",
+    "PaperDesign",
     "SPEC_PREFIX",
     "SchedulerSpec",
     "expand_param_grid",
@@ -85,15 +88,45 @@ class SchedulerSpec:
                 for axis, registry in AXES.items()}
 
 
-#: The paper's six BNP schedulers as component coordinates.
-BNP_SPECS: Dict[str, SchedulerSpec] = {
-    "HLFET": SchedulerSpec("slevel", "prio", "est", "off"),
-    "ISH": SchedulerSpec("slevel", "prio", "est", "hole"),
-    "MCP": SchedulerSpec("alaplist", "prio", "est", "on"),
-    "ETF": SchedulerSpec("slevel", "prio", "etf", "off"),
-    "DLS": SchedulerSpec("slevel", "prio", "dls", "off"),
-    "LAST": SchedulerSpec("dnode", "prio", "est", "off"),
+class PaperDesign(NamedTuple):
+    """One of the paper's BNP schedulers as a point of the space."""
+
+    spec: SchedulerSpec
+    #: Name and publication: the headline ``algo describe`` prints.
+    origin: str
+    #: As the paper states it; tighter than the loop's generic bound.
+    complexity: str
+
+
+#: The paper's six BNP schedulers: coordinates, origin and complexity.
+BNP_DESIGNS: Dict[str, PaperDesign] = {
+    "HLFET": PaperDesign(
+        SchedulerSpec("slevel", "prio", "est", "off"),
+        "Highest Level First with Estimated Times, "
+        "Adam, Chandy & Dickson (1974)", "O(v^2)"),
+    "ISH": PaperDesign(
+        SchedulerSpec("slevel", "prio", "est", "hole"),
+        "Insertion Scheduling Heuristic, Kruatrachue & Lewis (1987)",
+        "O(v^2)"),
+    "MCP": PaperDesign(
+        SchedulerSpec("alaplist", "prio", "est", "on"),
+        "Modified Critical Path, Wu & Gajski (1990)", "O(v^2 log v)"),
+    "ETF": PaperDesign(
+        SchedulerSpec("slevel", "prio", "etf", "off"),
+        "Earliest Time First, Hwang, Chow, Anger & Lee (1989)",
+        "O(p v^2)"),
+    "DLS": PaperDesign(
+        SchedulerSpec("slevel", "prio", "dls", "off"),
+        "Dynamic Level Scheduling, Sih & Lee (1993)", "O(p v^3)"),
+    "LAST": PaperDesign(
+        SchedulerSpec("dnode", "prio", "est", "off"),
+        "Localized Allocation of Static Tasks, Baxter & Patel (1989)",
+        "O(v(e+v))"),
 }
+
+#: The six designs' component coordinates alone.
+BNP_SPECS: Dict[str, SchedulerSpec] = {
+    acro: design.spec for acro, design in BNP_DESIGNS.items()}
 
 
 def parse_spec(text: str) -> SchedulerSpec:

@@ -9,24 +9,30 @@ run:
   need a consistency pass to turn (mapping, per-processor order) into a
   feasible schedule;
 * BU and BSA (APN) fix a mapping/order and need the same pass with
-  network message scheduling (see :mod:`repro.algorithms.apn.netsim`).
+  every message scheduled on the network links.
 
-This module implements the two clique-model passes.
+:func:`mapping_makespan` and :func:`schedule_from_mapping` time a
+clustering; :func:`execute_fixed_order` is the one fixed-order executor,
+for both the clique and the link-contention model, and
+:func:`simulate_fixed_sequences` is MD/DCP's policy around it.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 from ..core.attributes import blevel
 from ..core.exceptions import ScheduleError
 from ..core.graph import TaskGraph
 from ..core.schedule import Schedule
+from ..network.contention import LinkSchedule
+from ..network.topology import Topology
 
 __all__ = [
     "schedule_from_mapping",
     "mapping_makespan",
+    "execute_fixed_order",
     "simulate_fixed_sequences",
 ]
 
@@ -116,60 +122,121 @@ def schedule_from_mapping(graph: TaskGraph, proc_of: Sequence[int],
 def simulate_fixed_sequences(graph: TaskGraph,
                              sequences: List[List[int]],
                              num_procs: int) -> Schedule:
-    """Compute start times for fixed per-processor task sequences.
+    """Clique-model :func:`execute_fixed_order`, recovering from inversions.
 
-    Each task waits for its graph parents *and* for the task preceding it
-    in its processor's sequence.  If the sequences are inconsistent with
-    the precedence order (a descendant queued before an ancestor on the
-    same processor), the offending processors' sequences are re-sorted by
-    topological index and the pass restarted — schedulers that pin
-    tentative orders (MD, DCP) may rarely produce such inversions.
+    If the sequences are inconsistent with the precedence order (a
+    descendant queued before an ancestor on the same processor), every
+    sequence is re-sorted by topological index and executed again —
+    schedulers that pin tentative orders (MD, DCP) may rarely produce
+    such inversions.
     """
-    topo_index = {n: i for i, n in enumerate(graph.topological_order)}
-    seqs = [list(s) for s in sequences]
-    for _attempt in range(2):
-        schedule = _try_sequences(graph, seqs, num_procs)
-        if schedule is not None:
-            return schedule
-        seqs = [sorted(s, key=topo_index.__getitem__) for s in seqs]
-    raise ScheduleError("fixed-sequence simulation failed")  # pragma: no cover
+    schedule = _run_fixed_order(graph, sequences, num_procs)
+    if schedule is None:
+        topo_index = {n: i for i, n in enumerate(graph.topological_order)}
+        schedule = execute_fixed_order(
+            graph, [sorted(s, key=topo_index.__getitem__) for s in sequences],
+            num_procs)
+    return schedule
 
 
-def _try_sequences(graph: TaskGraph, sequences: List[List[int]],
-                   num_procs: int) -> Optional[Schedule]:
+def execute_fixed_order(graph: TaskGraph, sequences: List[List[int]],
+                        procs: Union[int, Topology]) -> Schedule:
+    """Time fixed per-processor task ``sequences`` into a schedule.
+
+    ``sequences[p]`` lists processor ``p``'s tasks in execution order; a
+    task starts once its inputs have arrived and its sequence
+    predecessor has finished.  With a processor count as ``procs`` the
+    inputs cross the clique (edge cost, no contention); with a
+    :class:`~repro.network.topology.Topology` every message is committed
+    to its links and recorded on the schedule.
+
+    Messages are committed receiver-side in a fixed order, BU's and
+    BSA's timing contract.  Tasks go in rounds: each round places the
+    tasks ready at its start in ascending id, each when it is next in
+    its sequence; a task whose turn comes mid-round joins only if its
+    id is larger than the task just placed, else it waits a round.  A
+    task's messages go in ascending (parent finish, parent id).
+
+    Raises :class:`ScheduleError` unless the sequences list every node
+    exactly once without deadlocking against the precedence order.
+    """
+    schedule = _run_fixed_order(graph, sequences, procs)
+    if schedule is None:
+        raise ScheduleError(
+            "per-processor sequences deadlock against the precedence order")
+    return schedule
+
+
+def _run_fixed_order(graph: TaskGraph, sequences: List[List[int]],
+                     procs: Union[int, Topology]) -> Optional[Schedule]:
+    """:func:`execute_fixed_order`, returning ``None`` on deadlock."""
     n = graph.num_nodes
-    proc_of: Dict[int, int] = {}
-    pos: Dict[int, int] = {}
+    proc_of = [-1] * n
+    pos = [0] * n
     for p, seq in enumerate(sequences):
         for i, node in enumerate(seq):
+            if not 0 <= node < n:
+                raise ScheduleError(f"node {node} is not in the graph")
+            if proc_of[node] >= 0:
+                raise ScheduleError(f"node {node} appears twice in sequences")
             proc_of[node] = p
             pos[node] = i
-    if len(proc_of) != n:
+    if -1 in proc_of:
         raise ScheduleError("sequences must cover every node exactly once")
+
+    links: Optional[LinkSchedule] = None
+    if isinstance(procs, Topology):
+        links = LinkSchedule(procs)
+        procs = procs.num_procs
+    schedule = Schedule(graph, procs)
     remaining = [graph.in_degree(i) for i in range(n)]
+    # ready[v]: v's parents were all placed before the current round.
+    ready = [r == 0 for r in remaining]
     next_slot = [0] * len(sequences)
-    schedule = Schedule(graph, num_procs)
-    ready = [i for i in range(n) if remaining[i] == 0]
+    # This round's tasks: ready, and next in their sequence.
+    current = [seq[0] for seq in sequences if seq and ready[seq[0]]]
+    heapq.heapify(current)
     placed = 0
-    while placed < n:
-        progress = False
-        new_ready: List[int] = []
-        for node in list(ready):
+    while current:
+        later: List[int] = []  # the next round's tasks
+        released: List[int] = []
+        while current:
+            node = heapq.heappop(current)
             p = proc_of[node]
-            if pos[node] != next_slot[p]:
-                continue  # not yet this node's turn on its processor
-            drt = schedule.data_ready_time(node, p)
-            start = max(schedule.proc_ready_time(p), drt)
-            schedule.place(node, p, start)
-            ready.remove(node)
-            next_slot[p] += 1
+            if links is None:
+                arrival = schedule.data_ready_time(node, p)
+            else:
+                # A parent on ``p`` finished by p's ready time: no message.
+                arrival = 0.0
+                parents, costs = graph.pred_pairs(node)
+                for parent, cost in sorted(
+                        zip(parents, costs),
+                        key=lambda pc: (schedule.finish_of(pc[0]), pc[0])):
+                    if proc_of[parent] != p:
+                        msg = links.commit(parent, node, proc_of[parent], p,
+                                           schedule.finish_of(parent), cost)
+                        schedule.record_message(msg)
+                        arrival = max(arrival, msg.arrival)
+            schedule.place(node, p, max(schedule.proc_ready_time(p), arrival))
             placed += 1
-            progress = True
             for child in graph.successors(node):
                 remaining[child] -= 1
                 if remaining[child] == 0:
-                    new_ready.append(child)
-        ready.extend(new_ready)
-        if not progress:
-            return None  # sequence/precedence deadlock
-    return schedule
+                    released.append(child)
+                    if pos[child] == next_slot[proc_of[child]]:
+                        later.append(child)
+            # Advanced only now: a released child that is next on ``p``
+            # is queued here, once, rather than also above.
+            next_slot[p] += 1
+            seq = sequences[p]
+            if next_slot[p] < len(seq):
+                head = seq[next_slot[p]]
+                if ready[head] and head > node:
+                    heapq.heappush(current, head)
+                elif remaining[head] == 0:
+                    later.append(head)
+        for child in released:
+            ready[child] = True
+        heapq.heapify(later)
+        current = later
+    return schedule if placed == n else None

@@ -446,33 +446,33 @@ def algo_main(argv: Optional[List[str]] = None) -> int:
         # str(KeyError) wraps the message in repr quotes; args[0] is
         # the message itself.
         return _fail(str(exc.args[0]) if exc.args else str(exc))
-    mod = sys.modules[type(sched).__module__]
-    headline = (mod.__doc__ or "").strip().splitlines()
+    from ..sim.online import OnlineScheduler
+
+    # A paper design names its origin; every other scheduler's headline
+    # is the first docstring line of the module that implements it.
+    doc = sys.modules[type(sched).__module__].__doc__ or ""
+    headline = getattr(sched, "origin", "") or doc.strip().split("\n")[0]
     print(f"{sched.name}  [{sched.klass}]")
     if headline:
-        print(f"  {headline[0]}")
+        print(f"  {headline}")
     print(f"  cp-based:         {_flag(sched.cp_based)}")
     print(f"  dynamic priority: {_flag(sched.dynamic_priority)}")
     print(f"  insertion:        {_flag(sched.uses_insertion)}")
     print(f"  complexity:       {sched.complexity}")
-    from ..sim.online import OnlineScheduler
-
     if isinstance(sched, (ParamScheduler, OnlineScheduler)):
+        base = (sched.spec.base() if isinstance(sched, OnlineScheduler)
+                else sched.spec)
+        if sched.name in BNP_SPECS:
+            print(f"  component spec:   {base.canonical()}")
         print("  components:")
         for axis, component in sched.spec.components().items():
             label = f"{axis}={getattr(sched.spec, axis)}"
             print(f"    {label:<16} {component.summary}")
         if isinstance(sched, OnlineScheduler):
             print(f"  information mode: {sched.spec.imode}")
-        monoliths = [acro for acro, spec in BNP_SPECS.items()
-                     if spec == sched.spec.base()] \
-            if isinstance(sched, OnlineScheduler) else \
-            [acro for acro, spec in BNP_SPECS.items()
-             if spec == sched.spec]
-        if monoliths:
-            print(f"  equivalent monolith: {monoliths[0]}")
-    elif sched.name in BNP_SPECS:
-        print(f"  component spec:   {BNP_SPECS[sched.name].canonical()}")
+        designs = [acro for acro, spec in BNP_SPECS.items() if spec == base]
+        if designs:
+            print(f"  paper design: {designs[0]}")
     return 0
 
 

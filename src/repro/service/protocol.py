@@ -58,6 +58,8 @@ class Request:
     path: str
     headers: Dict[str, str]
     body: bytes
+    #: ``Content-Length`` exceeded :data:`MAX_BODY`; the body was not read.
+    oversized: bool = False
 
 
 async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
@@ -84,7 +86,9 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         length = int(headers.get("content-length", "0") or "0")
-        if length < 0 or length > MAX_BODY:
+        if length > MAX_BODY:
+            return Request(method, path, headers, b"", oversized=True)
+        if length < 0:
             return Request(method, path, headers, b"")
         body = await reader.readexactly(length) if length else b""
         return Request(method, path, headers, body)

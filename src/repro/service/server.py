@@ -47,6 +47,7 @@ from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from .cache import ScheduleCache
 from .protocol import (
+    MAX_BODY,
     Request,
     parse_schedule_request,
     read_request,
@@ -216,6 +217,10 @@ class ScheduleService:
 
     async def _route(self, request: Request
                      ) -> Union[Tuple[int, Dict], bytes]:
+        if request.oversized:
+            self.stats["bad_requests"] += 1
+            return 413, {"error": "request body exceeds "
+                                  f"{MAX_BODY} bytes"}
         if request.method == "GET" and request.path == "/healthz":
             return 200, {"status": "draining" if self._draining else "ok"}
         if request.method == "GET" and request.path == "/stats":

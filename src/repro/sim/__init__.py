@@ -56,7 +56,6 @@ from .netmodel import (
     InstantNetwork,
     NetworkModel,
     RecordedDelays,
-    execute_fixed_order,
     network_from_spec,
     replay_network,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "RecordedDelays",
     "replay_network",
     "network_from_spec",
-    "execute_fixed_order",
     "Dist",
     "PerturbationModel",
     "DETERMINISTIC",

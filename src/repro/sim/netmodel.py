@@ -20,20 +20,17 @@ model space of the paper:
 :class:`~repro.core.schedule.Schedule` as fixed per-edge delays — the
 zero-noise replay backend under which APN timelines reproduce exactly.
 
-This module also owns :func:`execute_fixed_order`, the fixed-mapping
-link-contention executor that used to live in
-``repro.algorithms.apn.netsim`` (which is now a thin wrapper around
-it): given a task-to-processor mapping and per-processor execution
-orders, it computes actual start times while committing every message
-to the links in a deterministic receiver-side order.
+The schedulers' own fixed-order executor,
+:func:`repro.algorithms.mapping.execute_fixed_order`, commits messages
+receiver-side in a fixed round order; event-driven replay through
+:class:`ContentionNetwork` commits them sender-side instead, so the two
+may legitimately differ under contention.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from ..core.exceptions import ScheduleError
-from ..core.graph import TaskGraph
 from ..core.schedule import Message, Schedule
 from ..network.contention import LinkSchedule
 from ..network.topology import Topology
@@ -47,7 +44,6 @@ __all__ = [
     "RecordedDelays",
     "replay_network",
     "network_from_spec",
-    "execute_fixed_order",
 ]
 
 #: The backend names every layer (SimConfig, scenario schema, CLI)
@@ -198,82 +194,3 @@ def network_from_spec(kind: str, topology: Optional[Topology] = None,
         return ContentionNetwork(topology)
     raise ValueError(f"unknown network kind {kind!r}; expected one of "
                      + ", ".join(NETWORK_KINDS))
-
-
-# ----------------------------------------------------------------------
-# the fixed-order contention executor (absorbed from algorithms.apn.netsim)
-# ----------------------------------------------------------------------
-def execute_fixed_order(graph: TaskGraph, topology: Topology,
-                        sequences: List[List[int]]) -> Schedule:
-    """Schedule ``graph`` with fixed per-processor ``sequences``.
-
-    ``sequences[p]`` lists the tasks of processor ``p`` in execution
-    order; orders must be consistent with the precedence order (callers
-    keep sequences topologically sorted).  Returns a complete
-    :class:`Schedule` with all message records attached.
-
-    Messages are committed receiver-side in a deterministic order:
-    nodes in combined (precedence + processor-sequence) readiness
-    order; a node's parent messages in ascending (parent finish, parent
-    id).  This order is the timing contract of the BU/BSA schedulers —
-    event-driven replay through :class:`ContentionNetwork` commits
-    sender-side instead and may legitimately differ under contention.
-    """
-    n = graph.num_nodes
-    proc_of: Dict[int, int] = {}
-    pos: Dict[int, int] = {}
-    for p, seq in enumerate(sequences):
-        for i, node in enumerate(seq):
-            if node in proc_of:
-                raise ScheduleError(f"node {node} appears twice in sequences")
-            proc_of[node] = p
-            pos[node] = i
-    if len(proc_of) != n:
-        raise ScheduleError("sequences must cover every node exactly once")
-
-    links = LinkSchedule(topology)
-    schedule = Schedule(graph, topology.num_procs)
-    remaining = [graph.in_degree(i) for i in range(n)]
-    next_slot = [0] * len(sequences)
-    ready = [i for i in range(n) if remaining[i] == 0]
-    placed = 0
-    while placed < n:
-        progress = False
-        new_ready: List[int] = []
-        for node in sorted(ready):
-            p = proc_of[node]
-            if pos[node] != next_slot[p]:
-                continue
-            arrival = 0.0
-            parents = sorted(
-                graph.predecessors(node),
-                key=lambda q: (schedule.finish_of(q), q),
-            )
-            for parent in parents:
-                cost = graph.comm_cost(parent, node)
-                src = proc_of[parent]
-                if src == p:
-                    arr = schedule.finish_of(parent)
-                else:
-                    msg = links.commit(parent, node, src, p,
-                                       schedule.finish_of(parent), cost)
-                    schedule.record_message(msg)
-                    arr = msg.arrival
-                if arr > arrival:
-                    arrival = arr
-            start = max(schedule.proc_ready_time(p), arrival)
-            schedule.place(node, p, start)
-            ready.remove(node)
-            next_slot[p] += 1
-            placed += 1
-            progress = True
-            for child in graph.successors(node):
-                remaining[child] -= 1
-                if remaining[child] == 0:
-                    new_ready.append(child)
-        ready.extend(new_ready)
-        if not progress:
-            raise ScheduleError(
-                "per-processor sequences deadlock against the precedence order"
-            )
-    return schedule

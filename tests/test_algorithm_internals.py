@@ -9,7 +9,7 @@ import pytest
 
 from repro import Machine, TaskGraph
 from repro.algorithms.apn.bsa import cpn_dominant_list
-from repro.algorithms.bnp.mcp import _descendant_alap_lists
+from repro.algorithms.components.priorities import _descendant_alap_lists
 from repro.algorithms.unc.lc import LC
 from repro.algorithms.unc.md import MD
 from repro.core.attributes import alap, blevel, tlevel

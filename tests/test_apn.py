@@ -11,7 +11,8 @@ from repro import (
     get_scheduler,
     validate,
 )
-from repro.algorithms.apn import cpn_dominant_list, simulate_on_network
+from repro.algorithms.apn import cpn_dominant_list
+from repro.algorithms.mapping import execute_fixed_order
 from repro.bench.runner import APN_ALGORITHMS
 
 ALL_APN = list(APN_ALGORITHMS)
@@ -65,10 +66,12 @@ class TestAPNBasics:
 
 
 class TestNetsim:
+    """The fixed-order executor under link contention (BU/BSA's timing)."""
+
     def test_chain_across_network(self):
         g = TaskGraph([1.0, 1.0], {(0, 1): 3.0})
         topo = Topology.chain(3)
-        sched = simulate_on_network(g, topo, [[0], [], [1]])
+        sched = execute_fixed_order(g, [[0], [], [1]], topo)
         validate(sched, network=topo)
         # 1 (compute) + 3 + 3 (two store-and-forward hops) = 7 start.
         assert sched.start_of(1) == pytest.approx(7.0)
@@ -80,7 +83,7 @@ class TestNetsim:
             name="2msgs",
         )
         topo = Topology.chain(2)
-        sched = simulate_on_network(g, topo, [[0, 1], [2, 3]])
+        sched = execute_fixed_order(g, [[0, 1], [2, 3]], topo)
         validate(sched, network=topo)
         starts = sorted([sched.start_of(2), sched.start_of(3)])
         # First message arrives at 1+4=5 at best; the second must queue
@@ -91,19 +94,19 @@ class TestNetsim:
         g = TaskGraph([1.0, 1.0], {(0, 1): 1.0})
         topo = Topology.chain(2)
         with pytest.raises(ScheduleError):
-            simulate_on_network(g, topo, [[0], []])
+            execute_fixed_order(g, [[0], []], topo)
 
     def test_duplicate_node_rejected(self):
         g = TaskGraph([1.0, 1.0], {(0, 1): 1.0})
         topo = Topology.chain(2)
         with pytest.raises(ScheduleError):
-            simulate_on_network(g, topo, [[0, 1], [1]])
+            execute_fixed_order(g, [[0, 1], [1]], topo)
 
     def test_bad_order_deadlocks(self):
         g = TaskGraph([1.0, 1.0], {(0, 1): 1.0})
         topo = Topology.chain(2)
         with pytest.raises(ScheduleError, match="deadlock"):
-            simulate_on_network(g, topo, [[1, 0], []])
+            execute_fixed_order(g, [[1, 0], []], topo)
 
 
 class TestCPNDominantList:

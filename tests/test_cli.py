@@ -369,12 +369,12 @@ class TestAlgoVerbs:
         assert "components:" in out
         for line in ("prio=alap", "ready=prio", "proc=est", "insert=on"):
             assert line in out
-        assert "equivalent monolith" not in out  # not a named design
+        assert "paper design" not in out  # not a named design
 
     def test_algo_describe_named_shorthand_cites_monolith(self, capsys):
         assert main(["algo", "describe", "param:last"]) == 0
         out = capsys.readouterr().out
-        assert "equivalent monolith: LAST" in out
+        assert "paper design: LAST" in out
 
     def test_algo_describe_unknown_exits_2_one_line(self, capsys):
         assert main(["algo", "describe", "NOPE"]) == 2
@@ -444,4 +444,4 @@ class TestOnlineCLI:
         assert main(["algo", "describe", "online:mcp,imode=mean"]) == 0
         out = capsys.readouterr().out
         assert "information mode: mean" in out
-        assert "equivalent monolith: MCP" in out
+        assert "paper design: MCP" in out

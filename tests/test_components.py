@@ -1,13 +1,16 @@
 """Component-model tests: spec grammar, golden pinning, properties.
 
-The heart of the file is the golden-pinning class: each of the six
-named :data:`BNP_SPECS` configurations must reproduce its hand-written
-monolith *placement-for-placement* against the committed differential
-corpus — the same corpus files :mod:`test_differential` holds the
-monoliths to, so spec-vs-monolith equality is checked transitively
-through goldens that predate the component model.  Hypothesis
-properties then hold every random component combination to the model
-invariants (complete, validated schedules on bounded machines).
+The paper's six BNP schedulers are the :class:`ParamScheduler` at
+their :data:`BNP_DESIGNS` coordinates, served by acronym from the
+registry.  The golden-pinning test holds the ``param:`` spelling of
+each design — resolved through the spec parser to a separately
+memoized scheduler — to the same committed differential corpus that
+:mod:`test_differential` holds the acronyms to, so both spellings are
+pinned placement-for-placement by goldens that predate the component
+model.  Literal tables pin what the acronyms report (taxonomy flags,
+complexity, names and cache keys), and Hypothesis properties hold
+every random component combination to the model invariants (complete,
+validated schedules on bounded machines).
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from repro.algorithms import (
     ParamScheduler,
     SchedulerSpec,
     get_scheduler,
+    list_schedulers,
     parse_spec,
 )
 from repro.algorithms.components import AXES, expand_param_grid
@@ -36,7 +40,7 @@ _GRAPHS = corpus_graphs()
 
 
 # ----------------------------------------------------------------------
-# golden pinning: six named specs == six monoliths, bit for bit
+# golden pinning: the param: spelling of the six designs, bit for bit
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("graph", _GRAPHS, ids=[g.name for g in _GRAPHS])
 def test_named_specs_match_golden_corpus(graph):
@@ -65,24 +69,58 @@ def test_named_specs_match_golden_corpus(graph):
                     f"(P{wproc}, {wstart}, {wfinish})")
                 break
     assert not mismatches, (
-        "component specs diverged from the monoliths' golden corpus:\n  "
+        "component specs diverged from the golden corpus:\n  "
         + "\n  ".join(mismatches))
 
 
-def test_bnp_specs_cover_exactly_the_six_monoliths():
-    assert sorted(BNP_SPECS) == ["DLS", "ETF", "HLFET", "ISH", "LAST",
-                                 "MCP"]
+#: The paper's taxonomy of the six designs (cp_based, dynamic_priority,
+#: uses_insertion) and the complexity it states for each.
+PAPER_TABLE = {
+    "HLFET": ((False, False, False), "O(v^2)"),
+    "ISH": ((False, False, True), "O(v^2)"),
+    "MCP": ((True, False, True), "O(v^2 log v)"),
+    "ETF": ((False, True, False), "O(p v^2)"),
+    "DLS": ((False, True, False), "O(p v^3)"),
+    "LAST": ((False, True, False), "O(v(e+v))"),
+}
+
+
+def test_bnp_designs_report_the_papers_flags_and_complexity():
+    assert list_schedulers("BNP") == sorted(PAPER_TABLE)
+    assert sorted(BNP_SPECS) == sorted(PAPER_TABLE)
     # Distinct designs must map to distinct coordinates.
     assert len(set(BNP_SPECS.values())) == 6
-    for acro, spec in BNP_SPECS.items():
-        mono = get_scheduler(acro)
-        param = get_scheduler(spec.canonical())
-        assert param.klass == "BNP"
-        # The taxonomy flags the paper keys its analysis on must agree
-        # between monolith and component spelling.
-        assert param.cp_based == mono.cp_based, acro
-        assert param.dynamic_priority == mono.dynamic_priority, acro
-        assert param.uses_insertion == mono.uses_insertion, acro
+    for acro, (flags, complexity) in PAPER_TABLE.items():
+        sched = get_scheduler(acro)
+        assert isinstance(sched, ParamScheduler)
+        assert sched.spec == BNP_SPECS[acro]
+        assert sched.klass == "BNP"
+        assert (sched.cp_based, sched.dynamic_priority,
+                sched.uses_insertion) == flags, acro
+        assert sched.complexity == complexity, acro
+        assert sched.origin, acro
+        # The param: spelling derives the same flags from its parts.
+        param = get_scheduler(BNP_SPECS[acro].canonical())
+        assert (param.cp_based, param.dynamic_priority,
+                param.uses_insertion) == flags, acro
+
+
+def test_acronyms_keep_their_names_and_cache_keys():
+    from repro import api
+    from repro.core.graph import TaskGraph
+
+    assert get_scheduler("mcp").name == "MCP"
+    assert get_scheduler("mcp") is get_scheduler("MCP")
+    assert api.spec_fingerprint("mcp") == "MCP"
+    graph = TaskGraph([2.0, 3.0, 4.0, 1.0],
+                      {(0, 1): 4.0, (0, 2): 1.0, (1, 3): 1.0, (2, 3): 5.0},
+                      name="key-pin")
+    # Result stores and the service cache key on these strings.
+    assert api.request_key(graph, 2, "mcp") == \
+        "b4db37decdf6d0c3|clique:2|MCP"
+    assert api.request_key(graph, 2, "param:mcp") == (
+        "b4db37decdf6d0c3|clique:2|"
+        "param:prio=alaplist,ready=prio,proc=est,insert=on")
 
 
 # ----------------------------------------------------------------------
@@ -291,7 +329,7 @@ class TestScenarioIntegration:
         params = [n for n in names if n.startswith("param:")]
         assert len(params) >= 48
         assert len(names) == len(set(names))
-        # The six monoliths ride along for the head-to-head ranking.
+        # The six paper designs ride along for the head-to-head ranking.
         for acro in BNP_SPECS:
             assert acro in names
 

@@ -73,6 +73,14 @@ class TestFixedSequences:
         with pytest.raises(ScheduleError):
             simulate_fixed_sequences(diamond, [[0, 1], [2]], 2)
 
+    @pytest.mark.parametrize("sequences", [
+        [[0, 1], [2, 3, 1]],   # every node placed, node 1 listed again
+        [[0, 1, 2, 3], [1]],   # a second sequence repeats node 1 alone
+    ])
+    def test_node_listed_twice_rejected(self, diamond, sequences):
+        with pytest.raises(ScheduleError, match="node 1 appears twice"):
+            simulate_fixed_sequences(diamond, sequences, 2)
+
     def test_idle_gap_when_waiting(self):
         g = TaskGraph([1.0, 1.0, 5.0], {(0, 1): 10.0}, name="gap")
         sched = simulate_fixed_sequences(g, [[0], [1, 2]], 2)

@@ -7,7 +7,7 @@ side thread (the server owns its own executor, so in-process clients
 cannot starve it).  Covered contract:
 
 * malformed graphs answer 400 with a ``Violation`` table, never a
-  traceback;
+  traceback, and an oversized body answers 413;
 * the per-request deadline answers 504;
 * the bounded queue answers 429 backpressure;
 * a warm hit is byte-for-byte the same schedule the cold request
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 from collections import Counter
 
 import pytest
@@ -140,6 +141,32 @@ class TestErrorContract:
         assert payload["violations"], payload
         assert payload["violations"][0]["code"] == code
         assert code in payload["table"] and "CODE" in payload["table"]
+
+    def test_oversized_body_answers_413(self):
+        from repro.service.protocol import MAX_BODY
+
+        def body(service, client):
+            # Only the headers: the server must answer without reading
+            # (or waiting for) the announced body.
+            with socket.create_connection(("127.0.0.1", service.port),
+                                          timeout=10.0) as sock:
+                sock.sendall(b"POST /schedule HTTP/1.1\r\n"
+                             b"Content-Type: application/json\r\n"
+                             b"Content-Length: "
+                             + str(MAX_BODY + 1).encode() + b"\r\n\r\n")
+                raw = b""
+                while True:
+                    chunk = sock.recv(65536)
+                    if not chunk:
+                        break
+                    raw += chunk
+            return raw, dict(service.stats)
+
+        raw, stats = _serve(body)
+        head, _, payload = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 413 Payload Too Large")
+        assert str(MAX_BODY).encode() in payload
+        assert stats["bad_requests"] == 1
 
     def test_bad_request_counts_but_never_kills_the_server(self):
         def body(service, client):
