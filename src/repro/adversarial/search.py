@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from ..bench.runner import BenchConfig
-from ..bench.store import ResultStore
+from ..bench.store import ResultStore, open_store
 from ..core.graph import TaskGraph
 from ..core.rng import derive_rng
 from ..io.stg import dumps_stg
@@ -141,7 +141,7 @@ class SearchConfig:
 
 def adv_store(directory: str) -> ResultStore:
     """The chain-row store under ``directory`` (``adv.json``/``adv.csv``)."""
-    return ResultStore(directory, basename="adv", row_type=SearchRow)
+    return open_store(directory, basename="adv", row_type=SearchRow)
 
 
 def _slug(text: str) -> str:

@@ -137,33 +137,15 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _open_results(directory: str, opener):
-    """The one validated store-opening path shared by every verb family.
-
-    The artifact flags, ``scenario run``, ``sim run/compare``, the
-    ``adv`` verbs and the service's persistent schedule cache all
-    funnel their store directory through
-    :func:`repro.bench.store.open_store`: it turns an unwritable or
-    invalid path into a ``ValueError`` whose one-line message every
-    caller prints as the exit-2 diagnostic, and ``opener`` then loads —
-    and thereby validates — the family's store files, so a corrupt
-    store fails the same way on every verb.
-    """
-    return open_store(directory, opener=opener)
-
-
 def _open_store(directory: str) -> ResultStore:
     """A validated, writable ResultStore (optima sidecar checked too).
 
     Raises ``ValueError`` with a one-line message on an unwritable or
     invalid path, or on corrupt/unsupported store files.
     """
-    def opener(d: str) -> ResultStore:
-        store = ResultStore(d)
-        OptimaStore(d)  # validate the sidecar up front
-        return store
-
-    return _open_results(directory, opener)
+    store = open_store(directory)
+    OptimaStore(directory)  # validate the sidecar up front
+    return store
 
 _TABLE_BUILDERS: Dict[str, Callable] = {
     "table1": tables.table1,
@@ -755,7 +737,7 @@ def sim_main(argv: Optional[List[str]] = None) -> int:
         results_dir = args.results or os.path.join(
             "results", "sim", spec.name)
         try:
-            store = _open_results(results_dir, sim_store)
+            store = sim_store(results_dir)
         except ValueError as exc:
             return _fail(str(exc))
     try:
@@ -1237,7 +1219,7 @@ def adv_main(argv: Optional[List[str]] = None) -> int:
         frontier = ParetoFrontier()
         if not args.no_store:
             try:
-                store = _open_results(results_dir, adv_store)
+                store = adv_store(results_dir)
                 frontier = ParetoFrontier(frontier_path)
             except ValueError as exc:
                 return _fail(str(exc))
@@ -1262,7 +1244,7 @@ def adv_main(argv: Optional[List[str]] = None) -> int:
 
     # show / export work off the persisted store alone — no search runs.
     try:
-        store = _open_results(results_dir, adv_store)
+        store = adv_store(results_dir)
         frontier = ParetoFrontier(frontier_path)
     except ValueError as exc:
         return _fail(str(exc))

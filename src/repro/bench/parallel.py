@@ -57,8 +57,9 @@ class WorkerPool:
     ``execute_cells`` forks a fresh ``multiprocessing.Pool`` per call —
     right for a batch CLI run, wrong for a service handling requests
     for hours.  A ``WorkerPool`` keeps the same workers alive across
-    any number of :meth:`run_batch` / :meth:`imap` calls (created
-    lazily on first use, so constructing one is free) and is handed to
+    any number of :meth:`run_batch` / :meth:`imap` calls (forked
+    lazily on first use, so constructing one is free, or up front by
+    :meth:`ensure`) and is handed to
     ``execute_cells(pool=...)`` to reuse them for grid work too.
 
     ``jobs`` follows the CLI convention: ``None``/``1`` — run
@@ -75,7 +76,8 @@ class WorkerPool:
         self._pool: Optional[multiprocessing.pool.Pool] = None
 
     # ------------------------------------------------------------------
-    def _ensure(self) -> multiprocessing.pool.Pool:
+    def ensure(self) -> multiprocessing.pool.Pool:
+        """Fork the workers now unless they are alive; returns the pool."""
         if self._pool is None:
             self._pool = multiprocessing.Pool(processes=self.jobs)
         return self._pool
@@ -94,7 +96,7 @@ class WorkerPool:
         """
         if self.jobs <= 1 or len(batch) <= 1:
             return (fn(args) for args in batch)
-        return self._ensure().imap(fn, batch, chunksize=chunksize)
+        return self.ensure().imap(fn, batch, chunksize=chunksize)
 
     def run_batch(self, fn, batch: Sequence) -> List:
         """Run ``fn`` over ``batch`` on the persistent workers; returns

@@ -43,20 +43,23 @@ __all__ = [
     "row_from_dict",
     "result_to_dict",
     "result_from_dict",
-    "ensure_writable",
     "open_store",
     "ResultStore",
     "OptimaStore",
 ]
 
 
-def ensure_writable(directory: str) -> None:
-    """Check that ``directory`` can host a store; raise ``ValueError``.
+def open_store(directory: str, basename: str = "results",
+               row_type: Optional[type] = None) -> "ResultStore":
+    """Validate ``directory`` and open a store in it — the one path
+    every ``--results`` flag, the sim and adversarial stores and the
+    service cache go through.
 
-    Creates the directory (like the first :meth:`ResultStore.save`
-    would) and probes it with a scratch file, so CLIs can turn an
-    unwritable or invalid ``--results`` path into a clean one-line
-    diagnostic instead of a traceback deep inside a grid run.
+    Creates the directory and probes it with a scratch file, then loads
+    — and thereby validates — the ``basename`` store files of
+    ``row_type`` rows (default :class:`RunResult`).  Every failure is a
+    ``ValueError`` whose one-line message the CLIs print as their exit-2
+    diagnostic, instead of a traceback from deep inside a grid run.
     """
     try:
         os.makedirs(directory, exist_ok=True)
@@ -69,22 +72,6 @@ def ensure_writable(directory: str) -> None:
             f"results path {directory!r} is not a writable directory "
             f"({exc.strerror or exc})"
         ) from exc
-
-def open_store(directory: str, basename: str = "results",
-               row_type: Optional[type] = None, opener=None):
-    """Validate ``directory`` and open a store in it — the one path
-    every ``--results`` flag and the service cache go through.
-
-    Probes writability first (:func:`ensure_writable`), so every
-    caller fails the same way — a ``ValueError`` whose message the
-    CLIs turn into their one-line exit-2 diagnostic — instead of a
-    traceback from deep inside a grid run.  ``opener`` customizes
-    construction (e.g. ``sim_store`` / ``adv_store``); the default
-    builds a :class:`ResultStore` with ``basename`` and ``row_type``.
-    """
-    ensure_writable(directory)
-    if opener is not None:
-        return opener(directory)
     return ResultStore(directory, basename=basename,
                        row_type=row_type or RunResult)
 

@@ -45,6 +45,7 @@ __all__ = [
     "armed",
     "current",
     "span",
+    "root_span",
     "add_timeline",
     "wants_timeline",
     "collect",
@@ -152,17 +153,21 @@ class Tracer:
     # ------------------------------------------------------------------
     def span(self, name: str, **attrs: Any) -> _SpanContext:
         stack = _tracer_stack()
-        parent = stack[-1].sid if stack else -1
-        track = stack[-1].track if stack else _default_track()
-        with self._lock:
-            sid = self._next_sid
-            self._next_sid += 1
-        sp = Span(sid=sid, parent=parent, name=name, track=track,
-                  start_ns=time.perf_counter_ns(), args=attrs)
-        with self._lock:
-            self.spans.append(sp)
+        sp = self._open(name, stack[-1].sid if stack else -1,
+                        stack[-1].track if stack else _default_track(),
+                        attrs)
         stack.append(sp)
         return _SpanContext(sp)
+
+    def _open(self, name: str, parent: int, track: str,
+              attrs: Dict[str, Any]) -> Span:
+        with self._lock:
+            sp = Span(sid=self._next_sid, parent=parent, name=name,
+                      track=track, start_ns=time.perf_counter_ns(),
+                      args=attrs)
+            self._next_sid += 1
+            self.spans.append(sp)
+        return sp
 
     # ------------------------------------------------------------------
     # timelines
@@ -277,6 +282,17 @@ def span(name: str, **attrs: Any):
     if tracer is None:
         return _NULL_SPAN
     return tracer.span(name, **attrs)
+
+
+def root_span(name: str, track: str, **attrs: Any):
+    """:func:`span` for a coroutine holding it across an ``await``: a
+    root on ``track``, off the thread's span stack, because coroutines
+    sharing a thread close their spans in any order.  Spans open at the
+    same time need distinct tracks."""
+    tracer = current()
+    if tracer is None:
+        return _NULL_SPAN
+    return _SpanContext(tracer._open(name, -1, track, attrs))
 
 
 def add_timeline(key: Tuple, label: str,

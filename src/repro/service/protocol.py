@@ -4,7 +4,8 @@ One place for everything both ends of the socket must agree on: the
 minimal HTTP/1.1 framing (stdlib-only — the server reads requests off
 an ``asyncio`` stream, so no external HTTP framework), the request
 payload schema, the error shape, and the picklable worker function the
-batch loop ships to the :class:`~repro.bench.parallel.WorkerPool`.
+batch loop runs on the :class:`~repro.bench.parallel.WorkerPool` over
+jobs the server has already parsed, built and keyed.
 
 Request payloads (``POST /schedule``)::
 
@@ -40,6 +41,12 @@ __all__ = [
 #: Largest request body the server will read (64 MiB guards the loop
 #: against a runaway Content-Length, not a real workload limit).
 MAX_BODY = 64 * 1024 * 1024
+
+#: Most header lines one request may carry (more answer 400).
+MAX_HEADERS = 100
+
+#: Seconds a client has to deliver its whole request (later: 408).
+READ_TIMEOUT_S = 30.0
 
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
@@ -79,12 +86,14 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
             return None
         method, path = parts[0].upper(), parts[1]
         headers: Dict[str, str] = {}
-        while True:
+        for _ in range(MAX_HEADERS + 1):
             line = await reader.readline()
             if not line or line in (b"\r\n", b"\n"):
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
+        else:
+            return None
         length = int(headers.get("content-length", "0") or "0")
         if length > MAX_BODY:
             return Request(method, path, headers, b"", oversized=True)
@@ -158,25 +167,22 @@ def violations_payload(exc: Exception) -> Dict:
     }
 
 
-def schedule_cell(args) -> Dict:
-    """Worker-side of one scheduling job (module-level: it pickles).
+def schedule_cell(job) -> Dict:
+    """Worker side of one scheduling job (module-level: it pickles).
 
-    ``args = (graph source, machine source, spec)`` exactly as parsed
-    from the request — plain JSON-able values, cheap to ship to a pool
-    worker.  Returns the result payload the cache stores; never raises
-    (an unexpected failure comes back as an ``{"error": ...}`` payload
-    so one bad job cannot poison its whole batch).
+    ``job = (graph, machine, canonical spec)`` as the server built and
+    keyed it.  Returns the result payload the cache stores, less the
+    ``key`` the server adds; never raises (an unexpected failure comes
+    back as an ``{"error": ...}`` payload so one bad job cannot poison
+    its whole batch).
     """
-    graph_src, machine_src, spec = args
+    graph, machine, spec = job
     from .. import api
 
     try:
-        graph = api.as_graph(graph_src)
-        machine = api.as_machine(machine_src, graph)
         sched = api.schedule(graph, machine, spec)
         return {
-            "key": api.request_key(graph, machine, spec),
-            "spec": api.spec_fingerprint(spec),
+            "spec": spec,
             "length": sched.length,
             "schedule": {str(node): [int(proc), float(start), float(end)]
                          for node, (proc, start, end)

@@ -2,13 +2,14 @@
 
 Request lifecycle::
 
-    connection -> parse HTTP -> digest memo -> schedule cache
+    connection -> read HTTP (late -> 408) -> digest memo -> cache
         hit  -> respond (no scheduling, no queueing)
-        miss -> coalesce with any identical in-flight request, else
-                enqueue on the bounded job queue   (full -> 429)
+        miss -> parse, build and key once (_parse_and_key), coalesce
+                with any identical in-flight request, else enqueue
+                the built job on the bounded queue   (full -> 429)
         batch loop drains the queue (up to ``max_batch`` jobs), runs
-        the batch on the persistent WorkerPool, fulfils futures,
-        populates the cache
+        the batch on the persistent WorkerPool (which only schedules),
+        fulfils futures, populates the cache
     handler awaits its future under ``timeout_s``  (late -> 504)
 
 Batching is what makes the worker pool a service component rather
@@ -34,12 +35,13 @@ from __future__ import annotations
 import asyncio
 import functools
 import hashlib
+import itertools
 import signal
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Set, Tuple, Union
 
 from .. import api
 from ..bench.parallel import WorkerPool
@@ -48,6 +50,7 @@ from ..obs import trace as _trace
 from .cache import ScheduleCache
 from .protocol import (
     MAX_BODY,
+    READ_TIMEOUT_S,
     Request,
     parse_schedule_request,
     read_request,
@@ -60,16 +63,15 @@ __all__ = ["ServiceConfig", "ScheduleService"]
 
 
 def _parse_and_key(body: bytes, content_type: str):
-    """Parse a request body down to its cache key (module-level so the
-    handler can push this CPU-bound step off the event loop — a cold
-    300-node parse must not delay concurrent warm hits)."""
+    """Parse, build and key a request body: ``(key, built job)`` —
+    the service's only place for all three (module-level so the
+    handler can push this CPU-bound step off the event loop)."""
     graph_src, machine_src, spec = parse_schedule_request(body,
                                                           content_type)
     graph = api.as_graph(graph_src)
     machine = api.as_machine(machine_src, graph)
-    key = (f"{graph.fingerprint()}|{api.machine_fingerprint(machine)}"
-           f"|{api.spec_fingerprint(spec)}")
-    return key, (graph_src, machine_src, spec)
+    spec = api.spec_fingerprint(spec)
+    return api.request_key(graph, machine, spec), (graph, machine, spec)
 
 
 @dataclass
@@ -117,6 +119,7 @@ class ScheduleService:
         self._batch_task: Optional[asyncio.Task] = None
         self._drain_task: Optional[asyncio.Task] = None
         self._pending: Dict[str, asyncio.Future] = {}
+        self._lanes: Set[int] = set()  # trace lanes of open requests
         self._draining = False
         # Encoded warm responses by key: a hot hit writes pre-built
         # bytes instead of re-serializing the schedule every time.
@@ -130,7 +133,11 @@ class ScheduleService:
     # lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Bind, start serving, start the batch loop."""
+        """Fork the workers, bind, start serving, start the batch loop."""
+        if self.pool.jobs > 1:
+            # Before any socket exists: a worker forked later would hold
+            # open client sockets, and their clients never see EOF.
+            self.pool.ensure()
         self._queue = asyncio.Queue(maxsize=self.config.queue_limit)
         self._executor = ThreadPoolExecutor(
             max_workers=4, thread_name_prefix="repro-service")
@@ -196,11 +203,23 @@ class ScheduleService:
                       writer: asyncio.StreamWriter) -> None:
         t0 = time.perf_counter()
         encoded = response_bytes(400, {"error": "unreadable request"})
-        request = await read_request(reader)
+        try:
+            request = await asyncio.wait_for(read_request(reader),
+                                             READ_TIMEOUT_S)
+        except asyncio.TimeoutError:
+            request = None
+            encoded = response_bytes(408, {
+                "error": "request not received within "
+                         f"{READ_TIMEOUT_S:g} s"})
         if request is not None:
-            with _trace.span("service.request", method=request.method,
-                             path=request.path):
+            # Concurrent handlers' spans overlap: each takes a free lane.
+            lane = next(i for i in itertools.count() if i not in self._lanes)
+            self._lanes.add(lane)
+            with _trace.root_span("service.request",
+                                  f"service.request#{lane}",
+                                  method=request.method, path=request.path):
                 response = await self._route(request)
+            self._lanes.discard(lane)
             encoded = (response if isinstance(response, bytes)
                        else response_bytes(*response))
         self.stats["requests"] += 1
@@ -247,21 +266,24 @@ class ScheduleService:
         # cache key through the digest memo — no JSON, no graph build.
         digest = hashlib.sha256(request.body).hexdigest()
         key = self.cache.key_for(digest)
-        sources: Optional[Tuple] = None
-        if key is None:
+        result = None if key is None else self.cache.lookup(key)
+        job = None
+        if result is None and key not in self._pending:
+            # An unseen body, or an evicted one with nothing in flight;
+            # off-loop so concurrent warm hits are not delayed.
             try:
-                # CPU-bound (JSON + graph build + fingerprints): run it
-                # off-loop so concurrent warm hits are not delayed.
-                key, sources = await asyncio.get_running_loop(
+                parsed_key, job = await asyncio.get_running_loop(
                     ).run_in_executor(
                         self._executor, _parse_and_key, request.body,
                         request.headers.get("content-type", ""))
             except Exception as exc:
                 self.stats["bad_requests"] += 1
                 return 400, violations_payload(exc)
-            self.cache.link_digest(digest, key)
-
-        result = self.cache.lookup(key)
+            self.cache.link_digest(digest, parsed_key)
+            if key is None:
+                # Another spelling of this request may be cached.
+                key = parsed_key
+                result = self.cache.lookup(key)
         if result is not None:
             self.stats["cache_hits"] += 1
             _metrics.incr("service.cache_hits")
@@ -271,20 +293,11 @@ class ScheduleService:
         # the first of them occupies a queue slot.
         future = self._pending.get(key)
         if future is None:
-            if sources is None:
-                # Digest memo knew the key but the entry was evicted
-                # and nothing is in flight: re-parse to rebuild the job.
-                try:
-                    sources = parse_schedule_request(
-                        request.body,
-                        request.headers.get("content-type", ""))
-                except Exception as exc:
-                    self.stats["bad_requests"] += 1
-                    return 400, violations_payload(exc)
             assert self._queue is not None, "call start() first"
+            assert job is not None
             future = asyncio.get_running_loop().create_future()
             try:
-                self._queue.put_nowait((key, sources, future))
+                self._queue.put_nowait((key, job, future))
             except asyncio.QueueFull:
                 self.stats["rejected"] += 1
                 _metrics.incr("service.rejected")
@@ -335,20 +348,22 @@ class ScheduleService:
                     jobs.append(self._queue.get_nowait())
                 except asyncio.QueueEmpty:
                     break
-            with _trace.span("service.batch", size=len(jobs)):
+            with _trace.root_span("service.batch", "service.batch",
+                                  size=len(jobs)):
                 try:
                     results = await loop.run_in_executor(
                         self._executor, functools.partial(
                             self.pool.run_batch, schedule_cell,
-                            [sources for _key, sources, _fut in jobs]))
+                            [job for _key, job, _fut in jobs]))
                 except Exception as exc:  # pool died mid-batch
                     results = [{"error": f"worker pool failure: {exc}"}
                                ] * len(jobs)
             self.stats["batches"] += 1
             self.stats["scheduled"] += len(jobs)
             _metrics.observe("service.batch_size", float(len(jobs)))
-            for (key, _sources, future), result in zip(jobs, results):
+            for (key, _job, future), result in zip(jobs, results):
                 if "error" not in result:
+                    result["key"] = key
                     self.cache.put(key, result)
                 self._pending.pop(key, None)
                 if not future.done():

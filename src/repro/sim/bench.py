@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..bench.runner import BenchConfig
-from ..bench.store import ResultStore
+from ..bench.store import ResultStore, open_store
 from ..core.graph import TaskGraph
 from .netmodel import NETWORK_KINDS, NetworkModel, network_from_spec
 from .perturb import DETERMINISTIC, PerturbationModel
@@ -90,7 +90,7 @@ class SimConfig:
 
 def sim_store(directory: str) -> ResultStore:
     """The sim-row store under ``directory`` (``sim.json``/``sim.csv``)."""
-    return ResultStore(directory, basename="sim", row_type=RobustnessRow)
+    return open_store(directory, basename="sim", row_type=RobustnessRow)
 
 
 def combined_fingerprint(bench: BenchConfig, sim: SimConfig) -> str:

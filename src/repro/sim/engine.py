@@ -51,7 +51,7 @@ from ..obs import trace as _trace
 from .netmodel import NetworkModel, replay_network
 from .perturb import DETERMINISTIC, PerturbationModel
 
-__all__ = ["SimResult", "simulate"]
+__all__ = ["SimResult", "percent_degradation", "simulate"]
 
 _FINISH = 0
 _ARRIVAL = 1
@@ -96,6 +96,23 @@ def _stall_violations(graph, executed: Schedule, sequences: List[List[int]],
     return violations
 
 
+def percent_degradation(executed: float, predicted: float,
+                        num_nodes: int) -> float:
+    """``executed`` over ``predicted`` makespan, as a percentage change.
+
+    A non-positive prediction is only legitimate for an empty graph; on
+    any real schedule it is corrupt, not "no degradation".
+    """
+    if predicted <= 0:
+        if num_nodes == 0:
+            return 0.0
+        raise ScheduleError(
+            f"predicted makespan {predicted!r} is not positive for a "
+            f"{num_nodes}-node graph — corrupt prediction, degradation "
+            "undefined")
+    return 100.0 * (executed - predicted) / predicted
+
+
 @dataclass
 class SimResult:
     """One executed trial of a static schedule.
@@ -113,20 +130,10 @@ class SimResult:
 
     @property
     def degradation_pct(self) -> float:
-        """Executed makespan over predicted, as a percentage change.
-
-        A zero (or negative) predicted makespan is only legitimate for
-        an empty graph — on any real schedule it means the prediction
-        is corrupt, and reporting "no degradation" would hide that.
-        """
-        if self.predicted <= 0:
-            if self.schedule.graph.num_nodes == 0:
-                return 0.0
-            raise ScheduleError(
-                f"predicted makespan {self.predicted!r} is not positive "
-                f"for a {self.schedule.graph.num_nodes}-node graph — "
-                "corrupt prediction, degradation undefined")
-        return 100.0 * (self.makespan - self.predicted) / self.predicted
+        """Executed makespan over predicted, as a percentage change
+        (see :func:`percent_degradation`)."""
+        return percent_degradation(self.makespan, self.predicted,
+                                   self.schedule.graph.num_nodes)
 
 
 def simulate(schedule: Schedule,

@@ -44,7 +44,8 @@ from ...core.graph import TaskGraph
 from ...core.machine import Machine
 from ...core.rng import SeedLike, as_generator
 from ...core.schedule import Schedule, render_violations
-from ..engine import _ARRIVAL, _FINISH, _resolve_edge, _stall_violations
+from ..engine import (_ARRIVAL, _FINISH, _resolve_edge, _stall_violations,
+                      percent_degradation)
 from ..netmodel import FixedDelayNetwork, NetworkModel
 from ..perturb import DETERMINISTIC, PerturbationModel
 
@@ -120,20 +121,10 @@ class OnlineResult:
 
     @property
     def degradation_pct(self) -> float:
-        """Executed makespan over the policy's prediction, as a pct.
-
-        Same contract as :attr:`repro.sim.engine.SimResult
-        .degradation_pct`: a non-positive prediction is only valid for
-        an empty graph.
-        """
-        if self.predicted <= 0:
-            if self.schedule.graph.num_nodes == 0:
-                return 0.0
-            raise ScheduleError(
-                f"predicted makespan {self.predicted!r} is not positive "
-                f"for a {self.schedule.graph.num_nodes}-node graph — "
-                "corrupt prediction, degradation undefined")
-        return 100.0 * (self.makespan - self.predicted) / self.predicted
+        """Executed makespan over the policy's prediction, as a pct
+        (see :func:`repro.sim.engine.percent_degradation`)."""
+        return percent_degradation(self.makespan, self.predicted,
+                                   self.schedule.graph.num_nodes)
 
 
 def simulate_online(graph: TaskGraph,

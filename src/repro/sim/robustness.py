@@ -28,11 +28,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.exceptions import ScheduleError
 from ..core.rng import derive_rng
 from ..core.schedule import Schedule
 from ..metrics.ranking import average_ranks
-from .engine import simulate
+from .engine import percent_degradation, simulate
 from .netmodel import NetworkModel, replay_network
 from .perturb import DETERMINISTIC, PerturbationModel
 
@@ -159,24 +158,12 @@ def monte_carlo(schedule: Schedule,
     mean = float(makespans.mean())
     p95 = float(np.percentile(makespans, 95))
 
-    def degr(x: float) -> float:
-        # Mirrors SimResult.degradation_pct: a non-positive prediction
-        # is only valid for an empty graph; anywhere else it is corrupt
-        # input, not "zero degradation".
-        if predicted <= 0:
-            if schedule.graph.num_nodes == 0:
-                return 0.0
-            raise ScheduleError(
-                f"predicted makespan {predicted!r} is not positive for "
-                f"a {schedule.graph.num_nodes}-node graph — corrupt "
-                "prediction, degradation undefined")
-        return 100.0 * (x - predicted) / predicted
-
+    n = schedule.graph.num_nodes
     row = RobustnessRow(
         algorithm=algorithm,
         klass=klass,
         graph=schedule.graph.name,
-        num_nodes=schedule.graph.num_nodes,
+        num_nodes=n,
         predicted=predicted,
         trials=trials,
         mean=mean,
@@ -184,8 +171,8 @@ def monte_carlo(schedule: Schedule,
         p50=float(np.percentile(makespans, 50)),
         p95=p95,
         worst=float(makespans.max()),
-        mean_degradation_pct=float(degr(mean)),
-        p95_degradation_pct=float(degr(p95)),
+        mean_degradation_pct=float(percent_degradation(mean, predicted, n)),
+        p95_degradation_pct=float(percent_degradation(p95, predicted, n)),
         slack=schedule_slack(schedule),
     )
     return row, makespans

@@ -8,6 +8,11 @@ cannot starve it).  Covered contract:
 
 * malformed graphs answer 400 with a ``Violation`` table, never a
   traceback, and an oversized body answers 413;
+* a stalled client answers 408 and a header flood 400;
+* concurrent requests trace as a valid span forest;
+* a cold request builds and fingerprints its graph once, and the
+  worker pool (forked at start, so clients still see EOF) returns the
+  in-process results;
 * the per-request deadline answers 504;
 * the bounded queue answers 429 backpressure;
 * a warm hit is byte-for-byte the same schedule the cold request
@@ -24,6 +29,7 @@ import asyncio
 import json
 import socket
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -35,6 +41,7 @@ GRAPH = {
     "edges": [[0, 1, 4.0], [0, 2, 1.0], [1, 3, 1.0], [2, 3, 5.0]],
     "name": "svc-test",
 }
+OTHER = dict(GRAPH, weights=[5.0, 6.0, 7.0, 8.0])
 
 
 def _run(coro):
@@ -250,6 +257,193 @@ class TestTimeoutsAndBackpressure:
         assert second_status == 429
         assert payload["queue_limit"] == 1
         assert stats["rejected"] == 1
+
+
+# ----------------------------------------------------------------------
+# the one cold path: parse, build and key once; workers only schedule
+# ----------------------------------------------------------------------
+class TestColdPath:
+    def test_cold_request_builds_and_keys_the_graph_once(self,
+                                                          monkeypatch):
+        from repro.core.graph import TaskGraph
+
+        counts: Counter = Counter()
+        init, fingerprint = TaskGraph.__init__, TaskGraph.fingerprint
+
+        def counting_init(self, *args, **kwargs):
+            counts["builds"] += 1
+            init(self, *args, **kwargs)
+
+        def counting_fingerprint(self):
+            counts["fingerprints"] += 1
+            return fingerprint(self)
+
+        monkeypatch.setattr(TaskGraph, "__init__", counting_init)
+        monkeypatch.setattr(TaskGraph, "fingerprint", counting_fingerprint)
+
+        def body(service, client):
+            return client.schedule(GRAPH, 2, "mcp")
+
+        status, payload = _serve(body, jobs=1)
+        assert status == 200 and payload["cached"] is False
+        assert counts == {"builds": 1, "fingerprints": 1}
+
+    def test_pool_batch_equals_in_process_results(self):
+        from repro import api
+        from repro.bench.parallel import WorkerPool
+        from repro.service.protocol import schedule_cell
+        from repro.service.server import _parse_and_key
+
+        requests = [(GRAPH, 2, "mcp"),
+                    (OTHER, 3, "param:prio=blevel,proc=est")]
+        keyed = [_parse_and_key(json.dumps({"graph": g, "machine": m,
+                                            "spec": spec}).encode(),
+                                "application/json")
+                 for g, m, spec in requests]
+        jobs = [job for _key, job in keyed]
+        with WorkerPool(2) as pool:
+            pooled = pool.run_batch(schedule_cell, jobs)
+            assert pool.alive  # the batch crossed into worker processes
+        assert pooled == [schedule_cell(job) for job in jobs]
+        for (g, m, spec), (key, _job), result in zip(requests, keyed,
+                                                      pooled):
+            assert key == api.request_key(g, m, spec)
+            assert result["spec"] == api.spec_fingerprint(spec)
+            assert result["length"] == api.schedule(g, m, spec).length
+
+    def test_evicted_entry_takes_the_cold_path_again(self):
+        def body(service, client):
+            first = client.schedule(GRAPH, 2, "mcp")
+            client.schedule(OTHER, 2, "mcp")  # evicts the first entry
+            again = client.schedule(GRAPH, 2, "mcp")
+            return first, again, dict(service.stats), service.cache.stats()
+
+        (s1, first), (s3, again), stats, cache = _serve(body,
+                                                        cache_capacity=1)
+        assert (s1, s3) == (200, 200)
+        assert again["cached"] is False
+        assert again["key"] == first["key"]
+        assert again["schedule"] == first["schedule"]
+        assert stats["scheduled"] == 3 and stats["cache_hits"] == 0
+        assert cache["misses"] == 3
+
+
+def _read_to_eof(sock: socket.socket) -> bytes:
+    raw = b""
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return raw
+        raw += chunk
+
+
+class TestWorkerPoolLifecycle:
+    def test_workers_are_forked_at_start(self):
+        async def scenario():
+            service = ScheduleService(ServiceConfig(port=0, jobs=2))
+            await service.start()
+            try:
+                return service.pool.alive
+            finally:
+                await service.drain()
+
+        assert _run(scenario())
+
+    def test_clients_see_eof_when_a_batch_runs_on_the_pool(self):
+        # A worker forked while a connection is open would hold that
+        # connection's socket, so its client would never see EOF.
+        def exchange(port, raw):
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=5.0) as sock:
+                sock.sendall(raw)
+                try:
+                    return _read_to_eof(sock).startswith(b"HTTP/1.1 200")
+                except socket.timeout:
+                    return False
+
+        def body(service, client):
+            outcomes = []
+            for attempt in range(100):
+                raws = [_post(json.dumps({
+                    "graph": dict(GRAPH, weights=[1.0, 2.0 + attempt,
+                                                  3.0, 1.0 + k]),
+                    "machine": 2}).encode()) for k in range(2)]
+                with ThreadPoolExecutor(2) as threads:
+                    outcomes += threads.map(
+                        lambda raw: exchange(service.port, raw), raws)
+                if service.stats["scheduled"] > service.stats["batches"]:
+                    break  # a batch of two ran on the worker pool
+            return outcomes, dict(service.stats)
+
+        outcomes, stats = _serve(body, jobs=2)
+        assert stats["scheduled"] > stats["batches"]
+        assert all(outcomes)
+
+
+def _post(body: bytes) -> bytes:
+    return (b"POST /schedule HTTP/1.1\r\nContent-Type: application/json"
+            b"\r\nContent-Length: %d\r\n\r\n" % len(body)) + body
+
+
+class TestRequestReadBounds:
+    def test_stalled_client_answers_408(self, monkeypatch):
+        from repro.service import server
+
+        monkeypatch.setattr(server, "READ_TIMEOUT_S", 0.2)
+
+        def body(service, client):
+            with socket.create_connection(("127.0.0.1", service.port),
+                                          timeout=10.0) as sock:
+                sock.sendall(b"POST /schedule HTTP/1.1\r\n")  # then stall
+                return _read_to_eof(sock), client.healthz()
+
+        raw, health = _serve(body)
+        assert raw.startswith(b"HTTP/1.1 408 Request Timeout")
+        assert health == (200, {"status": "ok"})
+
+    @pytest.mark.parametrize("extra, status", [(0, b"200"), (1, b"400")])
+    def test_header_count_is_capped(self, extra, status):
+        from repro.service.protocol import MAX_HEADERS
+
+        def body(service, client):
+            headers = b"".join(b"X-Pad-%d: 1\r\n" % i
+                               for i in range(MAX_HEADERS + extra))
+            with socket.create_connection(("127.0.0.1", service.port),
+                                          timeout=10.0) as sock:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\n" + headers
+                             + b"\r\n")
+                return _read_to_eof(sock), client.healthz()
+
+        raw, health = _serve(body)
+        assert raw.startswith(b"HTTP/1.1 " + status)
+        assert health == (200, {"status": "ok"})
+
+
+class TestTracing:
+    def test_concurrent_request_spans_nest(self, monkeypatch):
+        # Handlers interleave on the event loop; their spans must still
+        # form a valid forest (the sanitizer-armed export checks it).
+        from repro.obs import trace
+
+        monkeypatch.setenv(trace.ENV_VAR, "1")
+        trace.reset()
+
+        def body(service, client):
+            def one(k):
+                graph = dict(GRAPH, weights=[1.0, 2.0 + k, 3.0, 1.0])
+                return client.schedule(graph, 2, "mcp")[0]
+
+            with ThreadPoolExecutor(4) as threads:
+                return list(threads.map(one, range(8)))
+
+        try:
+            statuses = _serve(body)
+            spans = trace.current().spans
+        finally:
+            trace.reset()
+        assert statuses == [200] * 8
+        assert sum(sp.name == "service.request" for sp in spans) == 8
+        trace.validate_nesting(spans)
 
 
 # ----------------------------------------------------------------------
