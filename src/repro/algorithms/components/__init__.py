@@ -30,7 +30,7 @@ from .insertion import INSERTION_POLICIES, InsertionPolicy
 from .pools import READY_POLICIES, ReadyPolicy, ReadyPool
 from .priorities import PRIORITY_RULES, PriorityRule, PriorityState
 from .scheduler import ParamScheduler
-from .selectors import PROC_SELECTORS, ProcSelector
+from .selectors import PROC_SELECTORS, ProcSelector, SelectorState
 from .spec import (
     AXES,
     BNP_DESIGNS,
@@ -60,6 +60,7 @@ __all__ = [
     "ReadyPolicy",
     "ReadyPool",
     "SchedulerSpec",
+    "SelectorState",
     "expand_param_grid",
     "parse_spec",
 ]

@@ -1,12 +1,12 @@
 """The parameterized list scheduler that executes a component spec.
 
-One loop, four plug points.  Every step: the processor selector picks
-the next ``(node, proc, start)`` placement — either by popping the
-ready pool (decoupled) or by scanning all (node, processor) pairs
-(coupled) — the node is placed, newly-ready children are released into
-the pool *after* the priority rule's dynamic update (the order the LAST
-invariant requires), and the insertion policy may back-fill the idle
-window the placement opened.
+One loop, four plug points.  Every step: the processor selector's
+per-run state picks the next ``(node, proc, start)`` placement — either
+by popping the ready pool (decoupled) or from its incrementally kept
+scan of all (node, processor) pairs (coupled) — the node is placed,
+newly-ready children are released into the pool *after* the priority
+rule's dynamic update (the order the LAST invariant requires), and the
+insertion policy may back-fill the idle window the placement opened.
 
 This loop is also the only implementation of the paper's six BNP
 schedulers: each acronym in
@@ -106,13 +106,12 @@ def run_component_loop(
         for node, proc, start, duration in pinned:
             schedule.place(node, proc, start, duration=duration)
             _settle(ready, prio, pool, node)
-        selector = parts["proc"]
-        slot = parts["insert"].slot
+        selector = parts["proc"].start(schedule, ready, prio,
+                                       parts["insert"].slot)
         hole = parts["insert"].hole_fill
         gap_begin = 0.0
         while not ready.all_scheduled():
-            node, proc, start = selector.pick(schedule, ready, pool,
-                                              prio, slot)
+            node, proc, start = selector.pick(pool)
             if hole:
                 gap_begin = schedule.proc_ready_time(proc)
             schedule.place(node, proc, start)

@@ -123,6 +123,7 @@ import sys
 from typing import Callable, Dict, List, Optional
 
 from . import figures, tables
+from ..check import sanitize as _sanitize
 from ..obs import report as _obs_report
 from ..obs import trace as _trace
 from .store import OptimaStore, ResultStore, open_store
@@ -210,13 +211,38 @@ def _emit(text: str, name: str, out_dir: Optional[str],
             fh.write(text + "\n")
 
 
+#: Environment variables ``--sanitize``/``--trace`` arm for one call.
+_ARMING_VARS = (_sanitize.ENV_VAR, _trace.ENV_VAR, _trace.ENV_PATH_VAR)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
+    # The arming flags hold for this invocation only: in-process callers
+    # (tests, notebooks) get their environment back as it was.
+    saved = {name: os.environ.get(name) for name in _ARMING_VARS}
+    try:
+        return _armed_main(argv)
+    finally:
+        traced_here = os.environ.get(_trace.ENV_VAR) != saved[_trace.ENV_VAR]
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+        if traced_here:
+            # A tracer this call armed but never flushed (the verb
+            # recorded nothing, or failed) would keep recording later
+            # in-process work; drop it with the flag.
+            _trace.reset()
+
+
+def _armed_main(argv: List[str]) -> int:
+    """Apply the arming flags to the environment, then run the verb."""
     if "--sanitize" in argv:
         # Arm the runtime sanitizer for this process (and any workers
         # that inherit the environment) before any verb touches data.
         argv = [a for a in argv if a != "--sanitize"]
-        os.environ["REPRO_SANITIZE"] = "1"
+        os.environ[_sanitize.ENV_VAR] = "1"
     kept = []
     for arg in argv:
         # Arm the tracing layer (repro.obs) the same way; workers

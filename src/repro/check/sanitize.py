@@ -3,7 +3,8 @@
 Armed by ``REPRO_SANITIZE=1`` in the environment (the ``--sanitize``
 CLI flag sets it for the process), this module backs the hooks wired
 into :mod:`repro.core.graph`, :mod:`repro.core.kernel`,
-:mod:`repro.core.schedule` and :mod:`repro.sim.engine`:
+:mod:`repro.core.schedule`, :mod:`repro.algorithms.components.selectors`
+and :mod:`repro.sim.engine`:
 
 * CSR adjacency round-trips against the list adjacency it was built
   from;
@@ -11,6 +12,8 @@ into :mod:`repro.core.graph`, :mod:`repro.core.kernel`,
   against the scalar ``data_ready_time`` oracle;
 * every placement keeps a processor timeline sorted and its flat
   mirrors consistent;
+* every incremental ETF/DLS pick equals a full rescan of the (ready
+  node, processor) pairs, and its start time the ``est_on_proc`` oracle;
 * the simulator's event heap pops timestamps monotonically.
 
 The hooks are deliberately cheap enough that the full golden

@@ -109,6 +109,10 @@ class Schedule:
         # Sorted ids of non-empty processors, maintained incrementally
         # so the used-processor shortlist never rescans all timelines.
         self._used: List[int] = []
+        # Per processor: how many times its timeline has been edited
+        # (place or unplace), so incremental scans can tell which
+        # timelines changed since they last probed them.
+        self._revision: List[int] = [0] * num_procs
         self.messages: Dict[Tuple[int, int], Message] = {}
 
     # ------------------------------------------------------------------
@@ -170,6 +174,15 @@ class Schedule:
     def used_proc_ids(self) -> List[int]:
         """Ascending ids of non-empty processors (a fresh list)."""
         return list(self._used)
+
+    def revision(self, proc: int) -> int:
+        """Edit count of ``proc``'s timeline; it grows on every change.
+
+        Two equal readings mean no placement was added to or removed
+        from ``proc`` in between, so any start time probed on it then
+        still holds.
+        """
+        return self._revision[proc]
 
     # ------------------------------------------------------------------
     # slot search
@@ -246,6 +259,7 @@ class Schedule:
         starts.insert(i, start)
         fins.insert(i, finish)
         nodes.insert(i, node)
+        self._revision[proc] += 1
         pl = Placement(node, proc, start, finish)
         self._placements[node] = pl
         self._node_proc[node] = proc
@@ -286,6 +300,7 @@ class Schedule:
         del self._finishes[pl.proc][idx]
         del self._nodes[pl.proc][idx]
         del self._placements[node]
+        self._revision[pl.proc] += 1
         if not self._starts[pl.proc]:
             self._used.remove(pl.proc)
         self._node_proc[node] = -1

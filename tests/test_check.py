@@ -247,11 +247,19 @@ class TestCheckCli:
         assert "RPR001" in capsys.readouterr().out
 
     def test_bench_cli_sanitize_flag_arms_env(self, capsys, monkeypatch):
+        import repro.check
+
         monkeypatch.delenv(sanitize.ENV_VAR, raising=False)
+        armed = []
+        monkeypatch.setattr(repro.check, "check_main",
+                            lambda argv: armed.append(
+                                (os.environ.get(sanitize.ENV_VAR),
+                                 sanitize_enabled())) or 0)
         rc = bench_cli.main(["--sanitize", "check", "--list-rules"])
         assert rc == 0
-        assert os.environ[sanitize.ENV_VAR] == "1"
-        assert sanitize_enabled()
+        # Armed while the verb runs, disarmed again once main returns.
+        assert armed == [("1", True)]
+        assert not sanitize_enabled()
 
     def test_render_rejects_unknown_format(self):
         with pytest.raises(ValueError):

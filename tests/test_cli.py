@@ -389,6 +389,54 @@ class TestAlgoVerbs:
         assert len(err.strip().splitlines()) == 1
 
 
+class TestArmingScope:
+    """``--trace``/``--sanitize`` arm one ``main`` call, not the process.
+
+    ``main`` writes the arming variables into ``os.environ`` so worker
+    processes inherit them; it must put the environment back on return,
+    or every later in-process caller would run traced and sanitized.
+    """
+
+    ARMING = ("REPRO_TRACE", "REPRO_TRACE_PATH", "REPRO_SANITIZE")
+
+    @pytest.fixture(autouse=True)
+    def _disarmed(self, monkeypatch, tmp_path):
+        for name in self.ARMING:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.chdir(tmp_path)  # the default trace.json lands here
+
+    @pytest.mark.parametrize("flags", [
+        ["--trace"], ["--sanitize"], ["--trace", "--sanitize"],
+        ["--trace=run.json"],
+    ])
+    def test_environment_unchanged_after_main(self, flags, capsys):
+        before = dict(os.environ)
+        assert main(flags + ["algo", "describe", "dls"]) == 0
+        assert dict(os.environ) == before
+
+    def test_no_tracer_outlives_a_traced_call(self, capsys):
+        from repro.obs import trace
+
+        # ``algo describe`` records nothing, so nothing is flushed; the
+        # tracer the flag armed must not keep recording later work.
+        assert main(["--trace", "algo", "describe", "dls"]) == 0
+        assert trace.current() is None
+
+    def test_previous_values_are_restored(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_TRACE", "0")
+        monkeypatch.setenv("REPRO_TRACE_PATH", "keep.json")
+        before = dict(os.environ)
+        assert main(["--trace=other.json", "--sanitize",
+                     "algo", "describe", "etf"]) == 0
+        assert dict(os.environ) == before
+
+    def test_environment_restored_when_the_verb_raises(self, capsys):
+        before = dict(os.environ)
+        with pytest.raises(SystemExit):
+            main(["--trace", "--sanitize", "--artifact", "nope"])
+        assert dict(os.environ) == before
+
+
 class TestOnlineCLI:
     """The online information-mode axis through the CLI surfaces."""
 

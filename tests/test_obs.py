@@ -395,8 +395,8 @@ class TestCliVerbs:
         trace_path = self._traced_run(tmp_path, capsys)
         manifest_path = tmp_path / "trace.manifest.json"
         assert trace_path.exists() and manifest_path.exists()
-        # The flush reset the in-process tracer for the next main()
-        # (the environment stays armed, so a fresh tracer is empty).
+        # The flush reset the in-process tracer for the next main(),
+        # and main() disarmed the environment again on return.
         fresh = trace.current()
         assert fresh is None or not fresh.spans
 
