@@ -19,12 +19,19 @@ The paper credits BSA's strong large-graph results to "an efficient
 scheduling of communication messages" — the migration step sees actual
 link availability, not estimates.  Complexity O(v^2 p).
 
-Deviation from the original: tentative moves are evaluated by re-running
+Deviation from the original: tentative moves are evaluated by re-timing
 the deterministic fixed-mapping network simulation instead of the
-original's in-place incremental updates.  Decisions (migrate/stay) are
-made on the same criterion — start-time improvement without schedule
-degradation — so the search trajectory matches the published algorithm
-on its published examples; only the bookkeeping differs.
+original's in-place incremental updates.  Each trial runs only the flat
+timing core (:func:`~repro.algorithms.mapping.time_fixed_order`: start
+and finish lists, channel busy lists, no :class:`Schedule` and no
+message records) and reads two numbers from it, the schedule length and
+the moved node's start; the schedule is built once, from the final
+sequences.  Decisions (migrate/stay) are made on the same criterion —
+start-time improvement without schedule degradation — so the search
+trajectory matches the published algorithm on its published examples;
+only the bookkeeping differs.  With ``REPRO_SANITIZE`` armed every
+trial is re-timed through the materialising
+:func:`~repro.algorithms.mapping.execute_fixed_order` and must agree.
 """
 
 from __future__ import annotations
@@ -32,12 +39,15 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Tuple
 
+from ...check import sanitize as _sanitize
 from ...core.attributes import blevel, critical_path, tlevel
+from ...core.exceptions import ScheduleError
 from ...core.graph import TaskGraph
 from ...core.machine import Machine, NetworkMachine
 from ...core.schedule import Schedule
+from ...network.topology import Topology
 from ..base import Scheduler, register
-from ..mapping import execute_fixed_order
+from ..mapping import execute_fixed_order, time_fixed_order
 
 __all__ = ["BSA", "cpn_dominant_list"]
 
@@ -105,8 +115,8 @@ class BSA(Scheduler):
         sequences: List[List[int]] = [[] for _ in range(p_count)]
         sequences[pivot] = list(order)
 
-        best_sched = execute_fixed_order(graph, sequences, topo)
-        best_len = best_sched.length
+        # The base: its sequences plus its start list and length.
+        best_len, best_start = _time_trial(graph, sequences, topo, order[0])
 
         # Breadth-first processor order from the pivot.
         visited = {pivot}
@@ -121,21 +131,24 @@ class BSA(Scheduler):
                     queue.append(nb)
 
         for current in bfs:
-            # Snapshot: migrating a node mutates the sequence we iterate.
+            # Snapshot: migrating a node replaces the sequence we iterate.
             for node in list(sequences[current]):
-                cur_start = best_sched.start_of(node)
+                cur_start = best_start[node]
                 if cur_start <= 1e-12:
                     continue  # already starts at time zero; nothing to gain
                 best_move: Tuple[float, float, int] | None = None
+                stay = [m for m in sequences[current] if m != node]
                 for nb in topo.neighbors(current):
-                    trial = [list(s) for s in sequences]
-                    trial[current].remove(node)
-                    _insert_by_order(trial[nb], node, topo_pos)
-                    sched = execute_fixed_order(graph, trial, topo)
-                    key = (sched.length, sched.start_of(node), nb)
+                    # Only the two changed sequences are copied.
+                    trial = list(sequences)
+                    trial[current] = stay
+                    trial[nb] = _inserted_by_order(sequences[nb], node,
+                                                   topo_pos)
+                    length, start = _time_trial(graph, trial, topo, node)
+                    key = (length, start[node], nb)
                     if best_move is None or key < best_move:
                         best_move = key
-                        best_trial, best_trial_sched = trial, sched
+                        best_trial, best_trial_start = trial, start
                 if best_move is None:
                     continue
                 new_len, new_start, _ = best_move
@@ -146,15 +159,38 @@ class BSA(Scheduler):
                     new_len <= best_len + 1e-9 and new_start < cur_start - 1e-9
                 ):
                     sequences = best_trial
-                    best_sched = best_trial_sched
+                    best_start = best_trial_start
                     best_len = new_len
-        return best_sched
+        return execute_fixed_order(graph, sequences, topo)
 
 
-def _insert_by_order(seq: List[int], node: int, topo_pos: Dict[int, int]) -> None:
-    """Insert ``node`` keeping the sequence sorted by CPN-dominant rank."""
+def _time_trial(graph: TaskGraph, sequences: List[List[int]],
+                topo: Topology, node: int) -> Tuple[float, List[float]]:
+    """Length and start list of timing ``sequences``, no schedule built.
+
+    With the sanitizer armed, the materialising executor re-derives the
+    trial and must agree on the length and on ``node``'s start.
+    """
+    timing = time_fixed_order(graph, sequences, topo)
+    if timing is None:  # pragma: no cover - CPN-dominant order is topological
+        raise ScheduleError("BSA sequences deadlock against the precedence "
+                            "order")
+    length = timing.length
+    if _sanitize.enabled():
+        oracle = execute_fixed_order(graph, sequences, topo)
+        _sanitize.require(
+            oracle.length == length  # repro: noqa-RPR005 oracle identity: the same computation, not a time comparison
+            and oracle.start_of(node) == timing.start[node],  # repro: noqa-RPR005 oracle identity: the same computation, not a time comparison
+            f"BSA trial timing of node {node} disagrees with the "
+            "materialised schedule")
+    return length, timing.start
+
+
+def _inserted_by_order(seq: List[int], node: int,
+                       topo_pos: Dict[int, int]) -> List[int]:
+    """A copy of ``seq`` with ``node`` at its CPN-dominant rank."""
     rank = topo_pos[node]
     lo = 0
     while lo < len(seq) and topo_pos[seq[lo]] < rank:
         lo += 1
-    seq.insert(lo, node)
+    return seq[:lo] + [node] + seq[lo:]

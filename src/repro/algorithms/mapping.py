@@ -14,18 +14,22 @@ run:
 :func:`mapping_makespan` and :func:`schedule_from_mapping` time a
 clustering; :func:`execute_fixed_order` is the one fixed-order executor,
 for both the clique and the link-contention model, and
-:func:`simulate_fixed_sequences` is MD/DCP's policy around it.
+:func:`simulate_fixed_sequences` is MD/DCP's policy around it.  The
+executor is its flat timing core, :func:`time_fixed_order`, plus one
+materialisation of the timing into a :class:`Schedule`; BSA compares
+its migration trials on the core alone.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Union
+from typing import (Dict, List, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 from ..core.attributes import blevel
 from ..core.exceptions import ScheduleError
 from ..core.graph import TaskGraph
-from ..core.schedule import Schedule
+from ..core.schedule import Message, Schedule
 from ..network.contention import LinkSchedule
 from ..network.topology import Topology
 
@@ -33,6 +37,8 @@ __all__ = [
     "schedule_from_mapping",
     "mapping_makespan",
     "execute_fixed_order",
+    "time_fixed_order",
+    "FixedOrderTiming",
     "simulate_fixed_sequences",
 ]
 
@@ -130,13 +136,13 @@ def simulate_fixed_sequences(graph: TaskGraph,
     schedulers that pin tentative orders (MD, DCP) may rarely produce
     such inversions.
     """
-    schedule = _run_fixed_order(graph, sequences, num_procs)
-    if schedule is None:
+    timing = time_fixed_order(graph, sequences, num_procs)
+    if timing is None:
         topo_index = {n: i for i, n in enumerate(graph.topological_order)}
-        schedule = execute_fixed_order(
+        return execute_fixed_order(
             graph, [sorted(s, key=topo_index.__getitem__) for s in sequences],
             num_procs)
-    return schedule
+    return _materialise(graph, num_procs, timing)
 
 
 def execute_fixed_order(graph: TaskGraph, sequences: List[List[int]],
@@ -150,30 +156,76 @@ def execute_fixed_order(graph: TaskGraph, sequences: List[List[int]],
     :class:`~repro.network.topology.Topology` every message is committed
     to its links and recorded on the schedule.
 
+    The timing is :func:`time_fixed_order`'s; the schedule is then
+    built once from it, every placement through the overlap-checked
+    :meth:`Schedule.place` and every message through
+    :meth:`Schedule.record_message`, in the order the timing made them.
+
+    Raises :class:`ScheduleError` unless the sequences list every node
+    exactly once without deadlocking against the precedence order.
+    """
+    timing = time_fixed_order(graph, sequences, procs, messages=True)
+    if timing is None:
+        raise ScheduleError(
+            "per-processor sequences deadlock against the precedence order")
+    return _materialise(graph, procs, timing)
+
+
+class FixedOrderTiming(NamedTuple):
+    """What :func:`time_fixed_order` computes, as flat per-node lists.
+
+    ``order`` lists the nodes in placement order; ``messages`` holds the
+    committed :class:`~repro.core.schedule.Message` records in commit
+    order when they were asked for (always empty in the clique model),
+    else ``None``.
+    """
+
+    proc_of: List[int]
+    start: List[float]
+    finish: List[float]
+    order: List[int]
+    messages: Optional[List[Message]]
+
+    @property
+    def length(self) -> float:
+        """The makespan, as :attr:`Schedule.length` reads it."""
+        return max(self.finish)
+
+
+def time_fixed_order(graph: TaskGraph, sequences: Sequence[List[int]],
+                     procs: Union[int, Topology], messages: bool = False
+                     ) -> Optional[FixedOrderTiming]:
+    """The timing core of :func:`execute_fixed_order`, on plain lists.
+
+    Returns the start and finish of every node, or ``None`` when the
+    sequences deadlock against the precedence order; with
+    ``messages=True`` also the message records of a topology run.  No
+    :class:`Schedule` is built, so callers that only compare timings
+    (BSA's migration trials) skip the per-task bookkeeping.
+
     Messages are committed receiver-side in a fixed order, BU's and
     BSA's timing contract.  Tasks go in rounds: each round places the
     tasks ready at its start in ascending id, each when it is next in
     its sequence; a task whose turn comes mid-round joins only if its
     id is larger than the task just placed, else it waits a round.  A
-    task's messages go in ascending (parent finish, parent id).
+    task's messages go in ascending (parent finish, parent id); a parent
+    on the task's own processor sends none.
 
     Raises :class:`ScheduleError` unless the sequences list every node
-    exactly once without deadlocking against the precedence order.
+    of the graph exactly once, on processors the machine has.
     """
-    schedule = _run_fixed_order(graph, sequences, procs)
-    if schedule is None:
-        raise ScheduleError(
-            "per-processor sequences deadlock against the precedence order")
-    return schedule
-
-
-def _run_fixed_order(graph: TaskGraph, sequences: List[List[int]],
-                     procs: Union[int, Topology]) -> Optional[Schedule]:
-    """:func:`execute_fixed_order`, returning ``None`` on deadlock."""
     n = graph.num_nodes
+    links: Optional[LinkSchedule] = None
+    if isinstance(procs, Topology):
+        links = LinkSchedule(procs)
+        num_procs = procs.num_procs
+    else:
+        num_procs = procs
     proc_of = [-1] * n
     pos = [0] * n
     for p, seq in enumerate(sequences):
+        if seq and not 0 <= p < num_procs:
+            raise ScheduleError(f"processor {p} out of range")
         for i, node in enumerate(seq):
             if not 0 <= node < n:
                 raise ScheduleError(f"node {node} is not in the graph")
@@ -184,42 +236,56 @@ def _run_fixed_order(graph: TaskGraph, sequences: List[List[int]],
     if -1 in proc_of:
         raise ScheduleError("sequences must cover every node exactly once")
 
-    links: Optional[LinkSchedule] = None
-    if isinstance(procs, Topology):
-        links = LinkSchedule(procs)
-        procs = procs.num_procs
-    schedule = Schedule(graph, procs)
-    remaining = [graph.in_degree(i) for i in range(n)]
+    weights, preds, succs = _flat_graph(graph)
+    start = [0.0] * n
+    finish = [0.0] * n
+    proc_ready = [0.0] * len(sequences)
+    order: List[int] = []
+    records: Optional[List[Message]] = [] if messages else None
+    remaining = [len(parents) for parents, _ in preds]
     # ready[v]: v's parents were all placed before the current round.
     ready = [r == 0 for r in remaining]
     next_slot = [0] * len(sequences)
     # This round's tasks: ready, and next in their sequence.
     current = [seq[0] for seq in sequences if seq and ready[seq[0]]]
     heapq.heapify(current)
-    placed = 0
     while current:
         later: List[int] = []  # the next round's tasks
         released: List[int] = []
         while current:
             node = heapq.heappop(current)
             p = proc_of[node]
+            parents, costs = preds[node]
+            arrival = 0.0
             if links is None:
-                arrival = schedule.data_ready_time(node, p)
-            else:
-                # A parent on ``p`` finished by p's ready time: no message.
-                arrival = 0.0
-                parents, costs = graph.pred_pairs(node)
-                for parent, cost in sorted(
-                        zip(parents, costs),
-                        key=lambda pc: (schedule.finish_of(pc[0]), pc[0])):
+                for parent, cost in zip(parents, costs):
+                    arr = finish[parent]
                     if proc_of[parent] != p:
+                        arr += cost
+                    if arr > arrival:
+                        arrival = arr
+            else:
+                sends = [(finish[parent], parent, cost)
+                         for parent, cost in zip(parents, costs)
+                         if proc_of[parent] != p]
+                sends.sort()
+                for sent, parent, cost in sends:
+                    if records is None:
+                        arr = links.send(proc_of[parent], p, sent, cost)
+                    else:
                         msg = links.commit(parent, node, proc_of[parent], p,
-                                           schedule.finish_of(parent), cost)
-                        schedule.record_message(msg)
-                        arrival = max(arrival, msg.arrival)
-            schedule.place(node, p, max(schedule.proc_ready_time(p), arrival))
-            placed += 1
-            for child in graph.successors(node):
+                                           sent, cost)
+                        records.append(msg)
+                        arr = msg.arrival
+                    if arr > arrival:
+                        arrival = arr
+            t = proc_ready[p]
+            if arrival > t:
+                t = arrival
+            start[node] = t
+            finish[node] = proc_ready[p] = t + weights[node]
+            order.append(node)
+            for child in succs[node]:
                 remaining[child] -= 1
                 if remaining[child] == 0:
                     released.append(child)
@@ -239,4 +305,30 @@ def _run_fixed_order(graph: TaskGraph, sequences: List[List[int]],
             ready[child] = True
         heapq.heapify(later)
         current = later
-    return schedule if placed == n else None
+    if len(order) < n:
+        return None
+    return FixedOrderTiming(proc_of, start, finish, order, records)
+
+
+def _flat_graph(graph: TaskGraph
+                ) -> Tuple[List[float], List[Tuple[List[int], List[float]]],
+                           List[List[int]]]:
+    """Per-graph memo of the plain lists the timing core walks."""
+    return graph.cached("_fixed_order_lists", lambda g: (
+        g.weights.tolist(),
+        [g.pred_pairs(v) for v in g.nodes()],
+        [g.succ_pairs(v)[0] for v in g.nodes()],
+    ))
+
+
+def _materialise(graph: TaskGraph, procs: Union[int, Topology],
+                 timing: FixedOrderTiming) -> Schedule:
+    """Build the one :class:`Schedule` of a finished timing."""
+    num_procs = procs.num_procs if isinstance(procs, Topology) else procs
+    schedule = Schedule(graph, num_procs)
+    proc_of, start = timing.proc_of, timing.start
+    for node in timing.order:
+        schedule.place(node, proc_of[node], start[node])
+    for msg in timing.messages or ():
+        schedule.record_message(msg)
+    return schedule

@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
 import os
 import tempfile
 from dataclasses import asdict, fields
@@ -50,7 +51,8 @@ __all__ = [
 
 
 def open_store(directory: str, basename: str = "results",
-               row_type: Optional[type] = None) -> "ResultStore":
+               row_type: Optional[type] = None,
+               set_aside_corrupt: bool = False) -> "ResultStore":
     """Validate ``directory`` and open a store in it — the one path
     every ``--results`` flag, the sim and adversarial stores and the
     service cache go through.
@@ -60,6 +62,11 @@ def open_store(directory: str, basename: str = "results",
     ``row_type`` rows (default :class:`RunResult`).  Every failure is a
     ``ValueError`` whose one-line message the CLIs print as their exit-2
     diagnostic, instead of a traceback from deep inside a grid run.
+
+    With ``set_aside_corrupt`` a store file that cannot be read (not
+    JSON, or not a store document) is renamed to ``<file>.corrupt``,
+    replacing an older one, with one warning logged, and the store
+    starts empty; an unusable directory still raises.
     """
     try:
         os.makedirs(directory, exist_ok=True)
@@ -72,8 +79,20 @@ def open_store(directory: str, basename: str = "results",
             f"results path {directory!r} is not a writable directory "
             f"({exc.strerror or exc})"
         ) from exc
-    return ResultStore(directory, basename=basename,
-                       row_type=row_type or RunResult)
+    row_type = row_type or RunResult
+    try:
+        return ResultStore(directory, basename=basename, row_type=row_type)
+    except ValueError as exc:
+        if not set_aside_corrupt:
+            raise
+        path = os.path.join(directory, f"{basename}.json")
+        try:
+            os.replace(path, path + ".corrupt")
+        except OSError as err:
+            raise exc from err
+        logging.getLogger(__name__).warning(
+            "%s; moved it to %s.corrupt and started empty", exc, path)
+    return ResultStore(directory, basename=basename, row_type=row_type)
 
 
 SCHEMA_VERSION = 1
@@ -214,15 +233,17 @@ class ResultStore:
     def load(self, path: Optional[str] = None) -> int:
         """Merge rows from a JSON document into the store.
 
-        Returns the number of rows read.  Raises ``ValueError`` on a
-        schema the store does not understand.
+        Returns the number of rows read.  Raises ``ValueError``, merging
+        nothing, on a document the store does not understand.
         """
         path = path or self.json_path
         with open(path) as fh:
             try:
                 doc = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+        if not isinstance(doc, dict):
+            raise ValueError(f"{path}: not a results document")
         schema = doc.get("schema")
         if schema != SCHEMA_VERSION:
             raise ValueError(
@@ -230,11 +251,15 @@ class ResultStore:
                 f"(this build reads schema {SCHEMA_VERSION})"
             )
         rows = doc.get("rows", [])
-        for data in rows:
-            key = self.key(data["algorithm"], data["graph"],
-                           data.get("fingerprint", ""))
-            self._rows[key] = dict(data)
-        return len(rows)
+        try:
+            keyed = [(self.key(data["algorithm"], data["graph"],
+                               data.get("fingerprint", "")), dict(data))
+                     for data in rows]
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"{path}: malformed results row ({exc!r})") \
+                from exc
+        self._rows.update(keyed)
+        return len(keyed)
 
     def merge(self, other: "ResultStore") -> int:
         """Fold another store's rows into this one (incoming rows win).

@@ -3,8 +3,8 @@
 Armed by ``REPRO_SANITIZE=1`` in the environment (the ``--sanitize``
 CLI flag sets it for the process), this module backs the hooks wired
 into :mod:`repro.core.graph`, :mod:`repro.core.kernel`,
-:mod:`repro.core.schedule`, :mod:`repro.algorithms.components.selectors`
-and :mod:`repro.sim.engine`:
+:mod:`repro.core.schedule`, :mod:`repro.algorithms.components.selectors`,
+:mod:`repro.algorithms.apn.bsa` and :mod:`repro.sim.engine`:
 
 * CSR adjacency round-trips against the list adjacency it was built
   from;
@@ -14,6 +14,9 @@ and :mod:`repro.sim.engine`:
   mirrors consistent;
 * every incremental ETF/DLS pick equals a full rescan of the (ready
   node, processor) pairs, and its start time the ``est_on_proc`` oracle;
+* every BSA migration trial timed by the flat fixed-order core agrees
+  with the materialising executor on the length and the moved node's
+  start;
 * the simulator's event heap pops timestamps monotonically.
 
 The hooks are deliberately cheap enough that the full golden

@@ -20,7 +20,7 @@ processors before committing.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.exceptions import ScheduleError
 from ..core.schedule import Message
@@ -54,20 +54,36 @@ class _ChannelTimeline:
         if i > 0:
             i -= 1
         for k in range(i, len(starts) - 1):
-            gap = max(est, fins[k])
+            gap = fins[k]
+            if est > gap:
+                gap = est
             if gap + duration <= starts[k + 1] + _EPS:
                 return gap
-        return max(est, fins[-1])
+        last = fins[-1]
+        return est if est >= last else last
 
-    def reserve(self, start: float, duration: float) -> None:
+    def book(self, est: float, duration: float) -> float:
+        """Reserve the :meth:`earliest` window for ``duration``; return
+        its start.
+
+        The window is inserted at its ``bisect_left`` index after the
+        same overlap check a hand-placed reservation would get.
+        """
+        starts, fins = self.starts, self.finishes
+        if not starts:
+            starts.append(est)
+            fins.append(est + duration)
+            return est
+        start = self.earliest(est, duration)
         finish = start + duration
-        i = bisect.bisect_left(self.starts, start)
-        if i > 0 and self.finishes[i - 1] > start + _EPS:
+        i = bisect.bisect_left(starts, start)
+        if i > 0 and fins[i - 1] > start + _EPS:
             raise ScheduleError("channel reservation overlaps existing message")
-        if i < len(self.starts) and self.starts[i] < finish - _EPS:
+        if i < len(starts) and starts[i] < finish - _EPS:
             raise ScheduleError("channel reservation overlaps existing message")
-        self.starts.insert(i, start)
-        self.finishes.insert(i, finish)
+        starts.insert(i, start)
+        fins.insert(i, finish)
+        return start
 
     def release(self, start: float) -> None:
         i = bisect.bisect_left(self.starts, start)
@@ -78,27 +94,35 @@ class _ChannelTimeline:
 
 
 class LinkSchedule:
-    """Message reservations over every directed channel of a topology."""
+    """Message reservations over every directed channel of a topology.
+
+    A channel's timeline is created when the first message between two
+    processors whose route crosses it is sent or probed, so a
+    short-lived schedule pays only for the channels it uses.
+    """
 
     def __init__(self, topology: Topology):
         self.topology = topology
-        self._timelines: Dict[Channel, _ChannelTimeline] = {
-            ch: _ChannelTimeline() for ch in topology.channels()
-        }
+        self._timelines: Dict[Channel, _ChannelTimeline] = {}
+        # (src, dst) -> the route's (channel, timeline) pairs, in order.
+        self._paths: Dict[Channel, List[Tuple[Channel, _ChannelTimeline]]] = {}
 
     # ------------------------------------------------------------------
-    def _plan_hops(self, route: Tuple[int, ...], ready: float,
-                   cost: float) -> Tuple[List[Hop], float]:
-        """Plan per-hop reservations without committing them."""
-        hops: List[Hop] = []
-        avail = ready
-        duration = self.topology.transfer_time(cost)
-        for a, b in zip(route, route[1:]):
-            tl = self._timelines[(a, b)]
-            start = tl.earliest(avail, duration)
-            hops.append(((a, b), start, start + duration))
-            avail = start + duration
-        return hops, avail
+    def _path(self, src: int, dst: int
+              ) -> List[Tuple[Channel, _ChannelTimeline]]:
+        """The memoised channels and timelines of the route src -> dst."""
+        path = self._paths.get((src, dst))
+        if path is None:
+            route = self.topology.route(src, dst)
+            timelines = self._timelines
+            path = []
+            for ch in zip(route, route[1:]):
+                tl = timelines.get(ch)
+                if tl is None:
+                    tl = timelines[ch] = _ChannelTimeline()
+                path.append((ch, tl))
+            self._paths[(src, dst)] = path
+        return path
 
     def probe_arrival(self, src: int, dst: int, ready: float,
                       cost: float) -> float:
@@ -108,9 +132,32 @@ class LinkSchedule:
         """
         if src == dst or cost <= 0:
             return ready
-        route = self.topology.route(src, dst)
-        _, arrival = self._plan_hops(route, ready, cost)
-        return arrival
+        duration = self.topology.transfer_time(cost)
+        avail = ready
+        for _ch, tl in self._paths.get((src, dst)) or self._path(src, dst):
+            avail = tl.earliest(avail, duration) + duration
+        return avail
+
+    def send(self, src: int, dst: int, ready: float, cost: float,
+             hops: Optional[List[Hop]] = None) -> float:
+        """Book a message's channels hop by hop; return its arrival.
+
+        The record-free core of :meth:`commit`: each hop takes the
+        earliest window of its channel once the previous hop is done.
+        When ``hops`` is given, the ``(channel, start, finish)``
+        reservations are appended to it.  Zero-cost or same-processor
+        messages book nothing and arrive at ``ready``.
+        """
+        if src == dst or cost <= 0:
+            return ready
+        duration = self.topology.transfer_time(cost)
+        avail = ready
+        for ch, tl in self._paths.get((src, dst)) or self._path(src, dst):
+            start = tl.book(avail, duration)
+            avail = start + duration
+            if hops is not None:
+                hops.append((ch, start, avail))
+        return avail
 
     def commit(self, edge_src_node: int, edge_dst_node: int, src: int,
                dst: int, ready: float, cost: float) -> Message:
@@ -120,14 +167,9 @@ class LinkSchedule:
         to the task schedule.  Same-processor or zero-cost messages yield
         a hop-less record arriving at ``ready``.
         """
-        if src == dst or cost <= 0:
-            return Message(edge_src_node, edge_dst_node, (src,) if src == dst
-                           else self.topology.route(src, dst), [], ready)
-        route = self.topology.route(src, dst)
-        hops, arrival = self._plan_hops(route, ready, cost)
-        duration = self.topology.transfer_time(cost)
-        for (ch, start, _finish) in hops:
-            self._timelines[ch].reserve(start, duration)
+        route = (src,) if src == dst else self.topology.route(src, dst)
+        hops: List[Hop] = []
+        arrival = self.send(src, dst, ready, cost, hops)
         return Message(edge_src_node, edge_dst_node, route, hops, arrival)
 
     def release(self, msg: Message) -> None:

@@ -17,7 +17,9 @@ Two layers:
   :class:`~repro.bench.store.ResultStore` of :class:`ServiceRow` rows
   opened through :func:`repro.bench.store.open_store` (the same
   validated path every ``--results`` flag uses), so a restarted server
-  begins warm.
+  begins warm.  A store file that cannot be read is set aside with a
+  warning and the server starts cold; an unusable directory is still
+  an error.
 
 ``hits`` / ``misses`` count :meth:`lookup` outcomes (process-local,
 like every cache-effect counter in this repo — see
@@ -63,7 +65,8 @@ class ScheduleCache:
         self._lru: "OrderedDict[str, Dict]" = OrderedDict()
         self._digests: "OrderedDict[str, str]" = OrderedDict()
         self._store = (open_store(directory, basename="schedules",
-                                  row_type=ServiceRow)
+                                  row_type=ServiceRow,
+                                  set_aside_corrupt=True)
                        if directory else None)
 
     def __len__(self) -> int:

@@ -17,7 +17,9 @@ cannot starve it).  Covered contract:
 * the bounded queue answers 429 backpressure;
 * a warm hit is byte-for-byte the same schedule the cold request
   computed (the cache-correctness half of the cold/warm speedup);
-* drain is clean, idempotent and join-able.
+* drain is clean, idempotent and join-able;
+* a persistent cache file that cannot be read is set aside with one
+  warning and the server starts cold.
 
 Plus the storm generator's determinism (equal configs ⇒ identical
 request streams), which the loadtest's rankable tables rest on.
@@ -482,6 +484,35 @@ class TestDrain:
         assert status == 200 and cold["cached"] is False
 
         status, warm = _serve(body, cache_dir=cache_dir)
+        assert status == 200 and warm["cached"] is True
+        assert warm["schedule"] == cold["schedule"]
+
+    @pytest.mark.parametrize("garbage", [
+        b"\x00\xff{not json" * 8,
+        b'{"schema": 1, "rows": [7]}',
+        b"[1, 2]",
+    ], ids=["bytes", "row", "list"])
+    def test_corrupt_cache_file_starts_cold(self, tmp_path, caplog, garbage):
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        store_file = cache_dir / "schedules.json"
+        store_file.write_bytes(garbage)
+
+        def body(service, client):
+            return client.schedule(GRAPH, 2, "mcp")
+
+        with caplog.at_level("WARNING", logger="repro.bench.store"):
+            status, cold = _serve(body, cache_dir=str(cache_dir))
+        assert status == 200 and cold["cached"] is False
+        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert "schedules.json" in warnings[0].getMessage()
+        assert (cache_dir / "schedules.json.corrupt").read_bytes() == garbage
+        # The cold answer was persisted over the bad file.
+        rows = json.loads(store_file.read_text())["rows"]
+        assert len(rows) == 1
+
+        status, warm = _serve(body, cache_dir=str(cache_dir))
         assert status == 200 and warm["cached"] is True
         assert warm["schedule"] == cold["schedule"]
 
