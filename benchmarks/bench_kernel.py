@@ -19,7 +19,7 @@ Run together with the smoke suite (one shared baseline)::
 from __future__ import annotations
 
 from repro.core.attributes import blevel, static_blevel, tlevel
-from repro.core.listsched import ReadyTracker, best_proc_min_est
+from repro.core.listsched import ReadyTracker, StartOracle, best_proc_min_est
 from repro.core.schedule import Schedule
 from repro.generators.random_graphs import rgnos_graph
 
@@ -107,10 +107,11 @@ def test_kernel_insertion_slot_search(benchmark):
     """best_proc_min_est with insertion against busy interval lists."""
     g = _fresh_graph()
     schedule = Schedule(g, 8)
+    oracle = StartOracle(schedule)
     tracker = ReadyTracker(g)
     while not tracker.all_scheduled():
         node = next(tracker.iter_ready())
-        proc, start = best_proc_min_est(schedule, node, insertion=True)
+        proc, start = best_proc_min_est(oracle, node, insertion=True)
         schedule.place(node, proc, start)
         tracker.mark_scheduled(node)
     # Re-query placed nodes (parents all placed): measures the gap
@@ -118,7 +119,7 @@ def test_kernel_insertion_slot_search(benchmark):
     sample = list(g.topological_order[-64:])
 
     def run():
-        return [best_proc_min_est(schedule, n, insertion=True)
+        return [best_proc_min_est(oracle, n, insertion=True)
                 for n in sample]
 
     assert len(benchmark(run)) == len(sample)

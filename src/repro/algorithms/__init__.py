@@ -23,11 +23,12 @@ BU          APN    Mehdiratta & Ghose (1994)
 BSA         APN    Kwok & Ahmad (1995)
 ==========  =====  =========================================
 
-The six BNP rows are one list scheduler: each acronym names a point of
-the component space in :mod:`repro.algorithms.components`, and
-:func:`get_scheduler` also accepts any other point as a ``param:``
-spec string (``"param:prio=blevel,ready=prio,proc=etf,insert=off"``).
-The UNC and APN rows are classes of their own.  MD, DCP, BU and BSA
+The six BNP rows, MH and DLS-APN are one list scheduler: each acronym
+names a point of the component space in
+:mod:`repro.algorithms.components`, and :func:`get_scheduler` also
+accepts any other point as a ``param:`` spec string
+(``"param:prio=blevel,ready=prio,proc=etf,insert=off"``).  The UNC
+rows, BU and BSA are classes of their own.  MD, DCP, BU and BSA
 time their mappings through the one fixed-order executor,
 :func:`execute_fixed_order`.
 """
@@ -41,7 +42,7 @@ from .base import (
 )
 from . import unc, apn  # noqa: F401  (imports register the algorithms)
 from .components import BNP_SPECS, ParamScheduler, SchedulerSpec, parse_spec
-from .apn import BSA, BU, DLSAPN, MH, cpn_dominant_list
+from .apn import BSA, BU, cpn_dominant_list
 from .mapping import (
     execute_fixed_order,
     mapping_makespan,
@@ -65,8 +66,6 @@ __all__ = [
     "DSC",
     "MD",
     "DCP",
-    "MH",
-    "DLSAPN",
     "BU",
     "BSA",
     "cpn_dominant_list",

@@ -2,13 +2,12 @@
 
 Link-contention-aware schedulers that place tasks on the processors of
 an explicit topology and schedule every inter-processor message on the
-network links.  The four algorithms benchmarked in the paper: MH,
-DLS (network variant), BU and BSA.
+network links.  Of the paper's four, MH and DLS-APN are points of the
+component space (:data:`~repro.algorithms.components.APN_DESIGNS`);
+BU and BSA live here.
 """
 
 from .bsa import BSA, cpn_dominant_list
 from .bu import BU
-from .dls_apn import DLSAPN
-from .mh import MH
 
-__all__ = ["MH", "DLSAPN", "BU", "BSA", "cpn_dominant_list"]
+__all__ = ["BU", "BSA", "cpn_dominant_list"]

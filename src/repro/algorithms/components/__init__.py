@@ -1,9 +1,9 @@
 """Composable scheduler components (Coleman et al.'s design space).
 
-Each of the paper's six BNP schedulers is one point in a four-axis
-space: **priority rule** × **ready-pool policy** × **processor
-selector** × **insertion policy**.  This package makes the axes
-explicit —
+Each of the paper's six BNP schedulers (and APN's MH and DLS-APN) is
+one point in a four-axis space: **priority rule** × **ready-pool
+policy** × **processor selector** × **insertion policy**.  This
+package makes the axes explicit —
 
 =========  =============================  ==========================
 Axis       Registry                       Values
@@ -21,9 +21,10 @@ combination on the flat-array kernel.  ``repro.get_scheduler`` resolves
 spec strings (``param:prio=blevel,ready=fifo,proc=est,insert=on``)
 directly, so synthesized schedulers flow through benchmarks, scenarios
 and the adversarial engine as ordinary names.  :data:`BNP_DESIGNS`
-names the six paper designs; the registry serves each acronym
-(``"MCP"``) as the :class:`ParamScheduler` at its coordinates, so the
-one component loop is the only BNP list scheduler in the package.
+names the six paper designs, :data:`APN_DESIGNS` MH and DLS-APN; the
+registry serves each acronym (``"MCP"``) as the :class:`ParamScheduler`
+at its coordinates, so the one component loop is the only list
+scheduler in the package (on a network it books every message).
 """
 
 from .insertion import INSERTION_POLICIES, InsertionPolicy
@@ -32,6 +33,7 @@ from .priorities import PRIORITY_RULES, PriorityRule, PriorityState
 from .scheduler import ParamScheduler
 from .selectors import PROC_SELECTORS, ProcSelector, SelectorState
 from .spec import (
+    APN_DESIGNS,
     AXES,
     BNP_DESIGNS,
     BNP_SPECS,
@@ -43,6 +45,7 @@ from .spec import (
 )
 
 __all__ = [
+    "APN_DESIGNS",
     "AXES",
     "BNP_DESIGNS",
     "BNP_SPECS",

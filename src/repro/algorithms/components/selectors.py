@@ -12,15 +12,17 @@ participates through its scalar ``value`` (ETF's tie-break, DLS's
 dynamic-level term).
 
 A :class:`ProcSelector` is a stateless, shared description;
-:meth:`ProcSelector.start` returns the per-run :class:`SelectorState`.
+:meth:`ProcSelector.start` returns the per-run :class:`SelectorState`,
+which probes start times through the run's
+:class:`~repro.core.listsched.StartOracle`.
 The coupled state is incremental.  A ready node's parents are final, so
 its arrival profile is built once, when the node is released, and the
-state caches one start time per (ready node, shortlisted processor).
-A cached start time changes only when its processor's timeline gains a
-placement (:meth:`~repro.core.schedule.Schedule.revision` tells), so a
-step re-probes only the columns of processors edited since the last
-step — whoever placed there: the loop, the ``hole`` filler or an
-online replan's pins — plus a new column when the shortlist gains a
+state caches one start time per (ready node, candidate processor).  It
+holds while the oracle's revision of its processor does (on a clique:
+no placement there since — by the loop, the ``hole`` filler or an
+online replan's pins; on a network: no message booked either), so a
+step re-probes only the columns whose revision moved since the last
+step — plus a new column when the shortlist gains a
 processor and a new row per released node.  Each row keeps its best
 pair, re-derived from its cached row only when that pair got worse or
 the node's priority value moved, so a step costs O(ready × edited
@@ -33,22 +35,20 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ...check import sanitize as _sanitize
-from ...core.kernel import ArrivalProfile
 from ...core.listsched import (
     best_proc_min_eft,
     best_proc_min_est,
-    candidate_procs,
     est_on_proc,
     ReadyTracker,
+    StartOracle,
 )
-from ...core.schedule import Schedule
 from .pools import ReadyPool
 from .priorities import PriorityState
 
 __all__ = ["ProcSelector", "SelectorState", "PROC_SELECTORS"]
 
-#: Decoupled choice for one node: ``(schedule, node, slot) -> (proc, start)``.
-Choose = Callable[[Schedule, int, bool], Tuple[int, float]]
+#: Decoupled choice for one node: ``(oracle, node, slot) -> (proc, start)``.
+Choose = Callable[[StartOracle, int, bool], Tuple[int, float]]
 #: Coupled pair rank: ``value -> (shift, tie)``.  A pair's key is
 #: ``(est - shift, tie, node, proc)``, smallest first.
 Rank = Callable[[float], Tuple[float, float]]
@@ -83,35 +83,29 @@ class ProcSelector:
         self._choose = choose
         self._rank = rank
 
-    def start(self, schedule: Schedule, ready: ReadyTracker,
+    def start(self, oracle: StartOracle, ready: ReadyTracker,
               prio: PriorityState, slot: bool) -> SelectorState:
         """Per-run state; ``slot`` is the insertion policy's flag."""
         if self._rank is not None:
-            return _PairScan(schedule, ready, prio, slot, self._rank)
+            return _PairScan(oracle, ready, prio, slot, self._rank)
         assert self._choose is not None
-        return _PopState(schedule, slot, self._choose)
+        return _PopState(oracle, slot, self._choose)
 
 
 class _PopState(SelectorState):
     """Decoupled selection: the pool names the node, ``choose`` its proc."""
 
-    __slots__ = ("_schedule", "_slot", "_choose")
+    __slots__ = ("_oracle", "_slot", "_choose")
 
-    def __init__(self, schedule: Schedule, slot: bool, choose: Choose):
-        self._schedule = schedule
+    def __init__(self, oracle: StartOracle, slot: bool, choose: Choose):
+        self._oracle = oracle
         self._slot = slot
         self._choose = choose
 
     def pick(self, pool: ReadyPool) -> Tuple[int, int, float]:
         node = pool.pop()
-        proc, start = self._choose(self._schedule, node, self._slot)
+        proc, start = self._choose(self._oracle, node, self._slot)
         return node, proc, start
-
-
-def _min_eft(schedule: Schedule, node: int,
-             slot: bool) -> Tuple[int, float]:
-    proc, _finish = best_proc_min_eft(schedule, node, insertion=slot)
-    return proc, est_on_proc(schedule, node, proc, slot)
 
 
 def _etf_rank(value: float) -> Tuple[float, float]:
@@ -140,13 +134,13 @@ class _Row:
     the ``shift``/``tie`` its priority ``value`` ranks with.
     """
 
-    __slots__ = ("node", "profile", "dur", "ests", "value", "shift",
+    __slots__ = ("node", "drt", "dur", "ests", "value", "shift",
                  "tie", "key", "col")
 
-    def __init__(self, node: int, profile: ArrivalProfile,
+    def __init__(self, node: int, drt: Callable[[int], float],
                  dur: Optional[float]):
         self.node = node
-        self.profile = profile
+        self.drt = drt
         self.dur = dur  # None: the duration depends on the processor
         self.ests: List[float] = []
         self.value = 0.0
@@ -159,24 +153,25 @@ class _Row:
 class _PairScan(SelectorState):
     """The coupled (ready node × candidate processor) scan, kept current.
 
-    Columns are the processors of the :func:`candidate_procs` shortlist
-    in the order they joined it; the shortlist only grows while the
-    loop places nodes, so it is re-read only when the number of used
+    Columns are the oracle's candidate processors in the order they
+    joined the shortlist; the shortlist only grows while the loop
+    places nodes, so it is re-read only when the number of used
     processors changes.
     """
 
-    __slots__ = ("_schedule", "_ready", "_prio", "_slot", "_rank",
-                 "_procs", "_seen", "_used", "_rows")
+    __slots__ = ("_oracle", "_schedule", "_ready", "_prio", "_slot",
+                 "_rank", "_procs", "_seen", "_used", "_rows")
 
-    def __init__(self, schedule: Schedule, ready: ReadyTracker,
+    def __init__(self, oracle: StartOracle, ready: ReadyTracker,
                  prio: PriorityState, slot: bool, rank: Rank):
-        self._schedule = schedule
+        self._oracle = oracle
+        self._schedule = oracle.schedule
         self._ready = ready
         self._prio = prio
         self._slot = slot
         self._rank = rank
         self._procs: List[int] = []  # column -> processor id
-        self._seen: List[int] = []   # column -> revision last probed
+        self._seen: List[object] = []  # column -> revision last probed
         self._used = -1              # processors_used() at the last sync
         self._rows: Dict[int, _Row] = {}
 
@@ -209,23 +204,24 @@ class _PairScan(SelectorState):
         return node, proc, est
 
     def _changed_columns(self) -> List[int]:
-        """Columns whose processor was edited since it was last probed.
+        """Columns whose revision moved since they were last probed.
 
         A column joining the shortlist counts as changed (never probed).
         """
-        schedule = self._schedule
-        used = schedule.processors_used()
+        oracle = self._oracle
+        used = self._schedule.processors_used()
         if used != self._used:
             self._used = used
             known = set(self._procs)
-            for proc in candidate_procs(schedule):
+            for proc in oracle.procs():
                 if proc not in known:
                     self._procs.append(proc)
-                    self._seen.append(-1)
+                    self._seen.append(None)
         seen = self._seen
+        revision = oracle.revision
         changed = []
         for c, proc in enumerate(self._procs):
-            rev = schedule.revision(proc)
+            rev = revision(proc)
             if rev != seen[c]:
                 seen[c] = rev
                 changed.append(c)
@@ -237,7 +233,7 @@ class _PairScan(SelectorState):
         ests = row.ests
         if len(ests) < len(procs):
             ests.extend([0.0] * (len(procs) - len(ests)))  # new: in cols
-        drt, slot_of, slot = row.profile.drt, schedule.earliest_slot, \
+        drt, slot_of, slot = row.drt, schedule.earliest_slot, \
             self._slot
         for c in cols:
             proc = procs[c]
@@ -249,7 +245,7 @@ class _PairScan(SelectorState):
         schedule = self._schedule
         dur = schedule.duration_of(node, 0) if schedule.speeds is None \
             else None
-        row = _Row(node, schedule.arrival_profile(node), dur)
+        row = _Row(node, self._oracle.drt_of(node), dur)
         self._probe_columns(row, list(range(len(self._procs))))
         self._rank_row(row, value)
         return row
@@ -288,12 +284,12 @@ class _PairScan(SelectorState):
 
     def _check(self, node: int, proc: int, est: float) -> None:
         """Sanitizer oracle: a full rescan must pick the same pair."""
-        schedule, slot = self._schedule, self._slot
+        oracle, slot = self._oracle, self._slot
         want: Optional[Tuple[float, float, int, int]] = None
         for cand in self._ready.iter_ready():
             shift, tie = self._rank(self._prio.value(cand))
-            for p in candidate_procs(schedule):
-                key = (est_on_proc(schedule, cand, p, slot) - shift, tie,
+            for p in oracle.procs():
+                key = (est_on_proc(oracle, cand, p, slot) - shift, tie,
                        cand, p)
                 if want is None or key < want:
                     want = key
@@ -302,11 +298,11 @@ class _PairScan(SelectorState):
             want[2:] == (node, proc),
             f"incremental pair scan picked node {node} on P{proc} but a "
             f"full rescan picks node {want[2]} on P{want[3]}")
-        oracle = est_on_proc(schedule, node, proc, slot)
+        fresh = est_on_proc(oracle, node, proc, slot)
         _sanitize.require(
-            abs(est - oracle) <= 1e-9,
+            abs(est - fresh) <= 1e-9,
             f"incremental pair scan starts node {node} on P{proc} at "
-            f"{est!r} but the earliest start there is {oracle!r}")
+            f"{est!r} but the earliest start there is {fresh!r}")
 
 
 PROC_SELECTORS: Dict[str, ProcSelector] = {
@@ -320,7 +316,7 @@ PROC_SELECTORS: Dict[str, ProcSelector] = {
         "pop the pool's best node; place on the processor minimising "
         "its finish time (HEFT-style; differs from est only under "
         "heterogeneous speeds)",
-        choose=_min_eft),
+        choose=best_proc_min_eft),
     "etf": ProcSelector(
         "etf",
         "ETF's global scan: the (ready node, processor) pair with the "

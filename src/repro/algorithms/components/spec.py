@@ -11,16 +11,17 @@ always render in the fixed order above with every axis spelled out, so
 two spellings of the same combination can never produce two cache keys.
 
 :data:`BNP_DESIGNS` pins the paper's six BNP schedulers to their
-component coordinates (:data:`BNP_SPECS` is the coordinates alone);
-the registry serves each acronym as the parameterized scheduler at its
-coordinates, and the golden differential corpus pins every placement.
+component coordinates (:data:`BNP_SPECS` is the coordinates alone)
+and :data:`APN_DESIGNS` MH and DLS-APN; the registry serves each
+acronym as the parameterized scheduler at its coordinates, and the
+golden differential corpus pins every placement.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields
-from typing import Dict, List, Mapping, NamedTuple, Sequence
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 from .insertion import INSERTION_POLICIES
 from .pools import READY_POLICIES
@@ -28,6 +29,7 @@ from .priorities import PRIORITY_RULES
 from .selectors import PROC_SELECTORS
 
 __all__ = [
+    "APN_DESIGNS",
     "AXES",
     "BNP_DESIGNS",
     "BNP_SPECS",
@@ -89,13 +91,16 @@ class SchedulerSpec:
 
 
 class PaperDesign(NamedTuple):
-    """One of the paper's BNP schedulers as a point of the space."""
+    """One of the paper's list schedulers as a point of the space."""
 
     spec: SchedulerSpec
     #: Name and publication: the headline ``algo describe`` prints.
     origin: str
     #: As the paper states it; tighter than the loop's generic bound.
     complexity: str
+    klass: str = "BNP"
+    #: Set where the paper's flag differs from the derived one.
+    cp_based: Optional[bool] = None
 
 
 #: The paper's six BNP schedulers: coordinates, origin and complexity.
@@ -124,7 +129,21 @@ BNP_DESIGNS: Dict[str, PaperDesign] = {
         "O(v(e+v))"),
 }
 
-#: The six designs' component coordinates alone.
+#: The paper's APN list schedulers, run on a network.  MH ranks by the
+#: b-level, which derives ``cp_based``, yet the paper files it as not
+#: CP-based.
+APN_DESIGNS: Dict[str, PaperDesign] = {
+    "MH": PaperDesign(
+        SchedulerSpec("blevel", "prio", "eft", "off"),
+        "Mapping Heuristic, El-Rewini & Lewis (1990)", "O(v^2 p^3)",
+        klass="APN", cp_based=False),
+    "DLS-APN": PaperDesign(
+        SchedulerSpec("slevel", "prio", "dls", "off"),
+        "Dynamic Level Scheduling on processor networks, "
+        "Sih & Lee (1993)", "O(v^3 p)", klass="APN"),
+}
+
+#: The six BNP designs' component coordinates alone.
 BNP_SPECS: Dict[str, SchedulerSpec] = {
     acro: design.spec for acro, design in BNP_DESIGNS.items()}
 

@@ -470,7 +470,7 @@ def algo_main(argv: Optional[List[str]] = None) -> int:
     if isinstance(sched, (ParamScheduler, OnlineScheduler)):
         base = (sched.spec.base() if isinstance(sched, OnlineScheduler)
                 else sched.spec)
-        if sched.name in BNP_SPECS:
+        if isinstance(sched, ParamScheduler) and sched.origin:
             print(f"  component spec:   {base.canonical()}")
         print("  components:")
         for axis, component in sched.spec.components().items():

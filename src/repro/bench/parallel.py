@@ -52,15 +52,14 @@ def default_jobs() -> int:
 
 
 class WorkerPool:
-    """A long-lived worker pool: the grid engine's fan-out, persistent.
+    """A worker pool: the grid engine's fan-out, optionally long-lived.
 
-    ``execute_cells`` forks a fresh ``multiprocessing.Pool`` per call —
-    right for a batch CLI run, wrong for a service handling requests
-    for hours.  A ``WorkerPool`` keeps the same workers alive across
-    any number of :meth:`run_batch` / :meth:`imap` calls (forked
-    lazily on first use, so constructing one is free, or up front by
-    :meth:`ensure`) and is handed to
-    ``execute_cells(pool=...)`` to reuse them for grid work too.
+    ``execute_cells`` runs each call on a fresh ``WorkerPool`` and
+    tears it down afterwards — right for a batch CLI run.  The service,
+    handling requests for hours, keeps one ``WorkerPool`` whose workers
+    stay alive across any number of :meth:`run_batch` / :meth:`imap`
+    calls (forked lazily on first use, so constructing one is free, or
+    up front by :meth:`ensure`).
 
     ``jobs`` follows the CLI convention: ``None``/``1`` — run
     in-process with no subprocesses at all; ``N > 1`` — ``N`` workers;
@@ -168,8 +167,7 @@ def execute_cells(keys: Sequence[Tuple[str, str]], work: Sequence,
                   jobs: Optional[int] = None,
                   store: Optional[ResultStore] = None,
                   resume: bool = False,
-                  rebase=None,
-                  pool: Optional[WorkerPool] = None) -> List:
+                  rebase=None) -> List:
     """The grid executor every cell-shaped benchmark shares.
 
     ``keys[i] = (algorithm, graph name)`` is cell *i*'s store cache key
@@ -181,12 +179,9 @@ def execute_cells(keys: Sequence[Tuple[str, str]], work: Sequence,
     written back and checkpointed every :data:`SAVE_EVERY` cells plus
     once at the end.  Both the static grid (:func:`run_grid`) and the
     Monte-Carlo sim grid (:func:`repro.sim.bench.run_sim_grid`) run on
-    this one implementation.
-
-    ``pool`` hands in a persistent :class:`WorkerPool` to run the
-    fan-out on instead of forking a fresh ``multiprocessing.Pool`` for
-    this call — the service mode, where workers outlive any one batch;
-    ``jobs`` is then ignored in favour of the pool's worker count.
+    this one implementation.  The cells run through one
+    :meth:`WorkerPool.imap` of at most ``min(jobs, cells)`` workers,
+    which stays in-process for one worker or one cell.
     """
     rows: List = [None] * len(keys)
     todo: List[int] = []
@@ -221,47 +216,30 @@ def execute_cells(keys: Sequence[Tuple[str, str]], work: Sequence,
         alg, gname = keys[i]
         return f"{alg} on {gname}"
 
-    if pool is not None:
-        jobs = pool.jobs
+    jobs = default_jobs() if jobs == 0 else max(1, int(jobs or 1))
+    if observing:
+        fn = _observed_cell
+        batch = [(worker, work[i], cell_label(i)) for i in todo]
     else:
-        jobs = default_jobs() if jobs == 0 else max(1, int(jobs or 1))
-
-    def consume(results) -> None:
+        fn = worker
+        batch = [work[i] for i in todo]
+    processes = max(1, min(jobs, len(batch)))
+    pool = WorkerPool(processes)
+    try:
         # imap preserves submission order: rows land at their serial
         # indices no matter which worker finishes first.
+        results = pool.imap(fn, batch,
+                            chunksize=max(1, len(batch) // (processes * 4)))
         for i, res in zip(todo, results):
             if observing:
                 res, payload = res
                 _trace.absorb(payload, track=cell_label(i))
             rows[i] = res
             record(res)
-
-    try:
-        if jobs > 1 and len(todo) > 1:
-            if observing:
-                fn = _observed_cell
-                batch = [(worker, work[i], cell_label(i)) for i in todo]
-            else:
-                fn = worker
-                batch = [work[i] for i in todo]
-            chunksize = max(1, len(batch) // (min(jobs, len(batch)) * 4))
-            if pool is not None:
-                consume(pool.imap(fn, batch, chunksize=chunksize))
-            else:
-                processes = min(jobs, len(batch))
-                with multiprocessing.Pool(processes=processes) as mp_pool:
-                    consume(mp_pool.imap(fn, batch, chunksize=chunksize))
-        else:
-            for i in todo:
-                if observing:
-                    row, payload = _observed_cell(
-                        (worker, work[i], cell_label(i)))
-                    _trace.absorb(payload, track=cell_label(i))
-                    rows[i] = row
-                else:
-                    rows[i] = worker(work[i])
-                record(rows[i])
     finally:
+        # The results are consumed (or the grid failed): terminate the
+        # workers rather than wait for them to wind down.
+        pool.shutdown(wait=False)
         if store is not None and unsaved:
             store.save()
     return rows

@@ -12,8 +12,9 @@ into :mod:`repro.core.graph`, :mod:`repro.core.kernel`,
   against the scalar ``data_ready_time`` oracle;
 * every placement keeps a processor timeline sorted and its flat
   mirrors consistent;
-* every incremental ETF/DLS pick equals a full rescan of the (ready
-  node, processor) pairs, and its start time the ``est_on_proc`` oracle;
+* every incremental ETF/DLS pick, on a clique or a processor network,
+  equals a full rescan of the (ready node, processor) pairs, and its
+  start time the ``est_on_proc`` oracle;
 * every BSA migration trial timed by the flat fixed-order core agrees
   with the materialising executor on the length and the moved node's
   start;

@@ -1,11 +1,12 @@
 """Shared list-scheduling machinery.
 
-All six BNP algorithms (and much of the APN class) are variations on one
-loop: keep a ready list, pick the highest-priority ready node, pick a
-processor, place, release children.  This module holds the pieces the
-variants share so each algorithm module only encodes its distinguishing
-decision (Section 3 of the paper: priority attribute, static vs dynamic
-list, insertion vs non-insertion, greedy vs non-greedy processor choice).
+All six BNP algorithms and the APN list schedulers MH and DLS-APN are
+one loop (:mod:`repro.algorithms.components`): keep a ready list, pick
+the highest-priority ready node, pick a processor, place, release
+children.  This module holds the pieces the loop shares: ready
+tracking and the clique :class:`StartOracle`, which probes and commits
+start times (:class:`repro.network.contention.LinkOracle` is the
+network's).
 
 The hot paths are built on the flat-array kernel
 (:mod:`repro.core.kernel`): ready membership is an array of flags plus
@@ -25,6 +26,7 @@ from .schedule import Schedule
 
 __all__ = [
     "ReadyTracker",
+    "StartOracle",
     "candidate_procs",
     "est_on_proc",
     "best_proc_min_est",
@@ -150,16 +152,50 @@ def candidate_procs(schedule: Schedule) -> List[int]:
     return procs
 
 
-def est_on_proc(schedule: Schedule, node: int, proc: int,
+class StartOracle:
+    """Start times in the clique model, for one component-loop run.
+
+    :meth:`procs` names the processors worth probing, :meth:`drt_of` a
+    ready node's data-ready time per processor, :meth:`drt` one from
+    scratch; a probed start holds while :meth:`revision` of its
+    processor does; :meth:`commit` places a node and returns its start.
+    ``books_messages`` marks an oracle whose commits book messages.
+    """
+
+    books_messages = False
+
+    __slots__ = ("schedule",)
+
+    def __init__(self, schedule: Schedule):
+        self.schedule = schedule
+
+    def procs(self) -> List[int]:
+        return candidate_procs(self.schedule)
+
+    def drt_of(self, node: int) -> Callable[[int], float]:
+        return self.schedule.arrival_profile(node).drt
+
+    def revision(self, proc: int) -> object:
+        return self.schedule.revision(proc)
+
+    def drt(self, node: int, proc: int) -> float:
+        return self.schedule.data_ready_time(node, proc)
+
+    def commit(self, node: int, proc: int, start: float) -> float:
+        self.schedule.place(node, proc, start)
+        return start
+
+
+def est_on_proc(oracle: StartOracle, node: int, proc: int,
                 insertion: bool) -> float:
-    """Earliest start of ``node`` on ``proc`` in the clique model."""
-    drt = schedule.data_ready_time(node, proc)
-    return schedule.earliest_slot(proc, drt,
+    """Earliest start of ``node`` on ``proc``, probed from scratch."""
+    schedule = oracle.schedule
+    return schedule.earliest_slot(proc, oracle.drt(node, proc),
                                   schedule.duration_of(node, proc),
                                   insertion=insertion)
 
 
-def best_proc_min_est(schedule: Schedule, node: int,
+def best_proc_min_est(oracle: StartOracle, node: int,
                       insertion: bool) -> Tuple[int, float]:
     """Greedy processor choice: minimise the start time of ``node``.
 
@@ -174,35 +210,36 @@ def best_proc_min_est(schedule: Schedule, node: int,
     processor, so both disciplines pick the same processor and this is
     exactly min-EST.
     """
+    schedule = oracle.schedule
     if schedule.speeds is not None:
-        p, _finish = best_proc_min_eft(schedule, node, insertion)
-        return p, est_on_proc(schedule, node, p, insertion)
-    profile = schedule.arrival_profile(node)
+        return best_proc_min_eft(oracle, node, insertion)
+    drt = oracle.drt_of(node)
     duration = schedule.duration_of(node, 0)  # homogeneous: proc-independent
     best_p, best_t = 0, float("inf")
-    for p in candidate_procs(schedule):
-        t = schedule.earliest_slot(p, profile.drt(p), duration,
+    for p in oracle.procs():
+        t = schedule.earliest_slot(p, drt(p), duration,
                                    insertion=insertion)
         if t < best_t - 1e-12:
             best_p, best_t = p, t
     return best_p, best_t
 
 
-def best_proc_min_eft(schedule: Schedule, node: int,
+def best_proc_min_eft(oracle: StartOracle, node: int,
                       insertion: bool) -> Tuple[int, float]:
-    """Processor minimising the *finish* time.
+    """Processor minimising the *finish* time, and the start there.
 
     Equivalent to :func:`best_proc_min_est` on uniform processors; under
     heterogeneous speeds a slower processor may offer the earlier start
     but the later finish, so the finish is minimised explicitly.
     """
-    profile = schedule.arrival_profile(node)
-    best_p, best_f = 0, float("inf")
-    for p in candidate_procs(schedule):
+    schedule = oracle.schedule
+    drt = oracle.drt_of(node)
+    best_p, best_t, best_f = 0, 0.0, float("inf")
+    for p in oracle.procs():
         duration = schedule.duration_of(node, p)
-        t = schedule.earliest_slot(p, profile.drt(p), duration,
+        t = schedule.earliest_slot(p, drt(p), duration,
                                    insertion=insertion)
         f = t + duration
         if f < best_f - 1e-12:
-            best_p, best_f = p, f
-    return best_p, best_f
+            best_p, best_t, best_f = p, t, f
+    return best_p, best_t

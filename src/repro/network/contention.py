@@ -14,19 +14,21 @@ store-and-forward model used by MH and BSA:
 
 :class:`LinkSchedule` owns the channel timelines and supports tentative
 queries (``probe_arrival``) so schedulers can compare candidate
-processors before committing.
+processors before committing; :class:`LinkOracle` builds the component
+loop's start-time oracle on a network from them.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.exceptions import ScheduleError
-from ..core.schedule import Message
+from ..core.listsched import StartOracle
+from ..core.schedule import Message, Schedule
 from .topology import Topology
 
-__all__ = ["LinkSchedule"]
+__all__ = ["LinkSchedule", "LinkOracle"]
 
 _EPS = 1e-9
 
@@ -99,10 +101,12 @@ class LinkSchedule:
     A channel's timeline is created when the first message between two
     processors whose route crosses it is sent or probed, so a
     short-lived schedule pays only for the channels it uses.
+    ``revision`` counts bookings and releases: probes hold while it does.
     """
 
     def __init__(self, topology: Topology):
         self.topology = topology
+        self.revision = 0
         self._timelines: Dict[Channel, _ChannelTimeline] = {}
         # (src, dst) -> the route's (channel, timeline) pairs, in order.
         self._paths: Dict[Channel, List[Tuple[Channel, _ChannelTimeline]]] = {}
@@ -150,6 +154,7 @@ class LinkSchedule:
         """
         if src == dst or cost <= 0:
             return ready
+        self.revision += 1
         duration = self.topology.transfer_time(cost)
         avail = ready
         for ch, tl in self._paths.get((src, dst)) or self._path(src, dst):
@@ -174,6 +179,7 @@ class LinkSchedule:
 
     def release(self, msg: Message) -> None:
         """Undo a committed message (used by migrating schedulers)."""
+        self.revision += 1
         for (ch, start, finish) in msg.hops:
             self._timelines[ch].release(start)
 
@@ -183,3 +189,70 @@ class LinkSchedule:
         for tl in self._timelines.values():
             total += sum(f - s for s, f in zip(tl.starts, tl.finishes))
         return total
+
+
+class LinkOracle(StartOracle):
+    """Start times on a processor network: MH's probe and commit.
+
+    Every processor is a candidate.  A node's data-ready time on a
+    processor is the latest arrival of its parents' messages if sent
+    now (no booking), stale once the processor or the link bookings
+    move.  :meth:`commit` books those messages in ``(parent finish,
+    parent id)`` order, records them and starts the node when its
+    processor is free and they are in — later than probed, if they
+    contend.  Only append-only runs without pins can book so.
+    """
+
+    books_messages = True
+
+    __slots__ = ("links",)
+
+    def __init__(self, schedule: Schedule, topology: Topology):
+        super().__init__(schedule)
+        self.links = LinkSchedule(topology)
+
+    def procs(self) -> List[int]:
+        return list(range(self.schedule.num_procs))
+
+    def drt_of(self, node: int) -> Callable[[int], float]:
+        schedule, probe = self.schedule, self.links.probe_arrival
+        parents, costs = schedule.graph.pred_pairs(node)
+        inputs = [(schedule.proc_of(q), schedule.finish_of(q), c)
+                  for q, c in zip(parents, costs)]
+
+        def drt(proc: int) -> float:
+            t = 0.0
+            for src, ready, cost in inputs:
+                arr = probe(src, proc, ready, cost)
+                if arr > t:
+                    t = arr
+            return t
+        return drt
+
+    def revision(self, proc: int) -> object:
+        return (self.schedule.revision(proc), self.links.revision)
+
+    def drt(self, node: int, proc: int) -> float:
+        return self.drt_of(node)(proc)
+
+    def commit(self, node: int, proc: int, start: float) -> float:
+        schedule, links = self.schedule, self.links
+        graph = schedule.graph
+        arrival = 0.0
+        parents = sorted(graph.predecessors(node),
+                         key=lambda q: (schedule.finish_of(q), q))
+        for parent in parents:
+            src = schedule.proc_of(parent)
+            if src == proc:
+                arr = schedule.finish_of(parent)
+            else:
+                msg = links.commit(parent, node, src, proc,
+                                   schedule.finish_of(parent),
+                                   graph.comm_cost(parent, node))
+                schedule.record_message(msg)
+                arr = msg.arrival
+            if arr > arrival:
+                arrival = arr
+        start = max(schedule.proc_ready_time(proc), arrival)
+        schedule.place(node, proc, start)
+        return start

@@ -363,6 +363,14 @@ class TestAlgoVerbs:
         assert "MCP" in out and "[BNP]" in out
         assert "param:prio=alaplist,ready=prio,proc=est,insert=on" in out
 
+    def test_algo_describe_apn_design_shows_origin_and_spec(self, capsys):
+        assert main(["algo", "describe", "MH"]) == 0
+        out = capsys.readouterr().out
+        assert "MH  [APN]" in out
+        assert "Mapping Heuristic, El-Rewini & Lewis (1990)" in out
+        assert ("component spec:   "
+                "param:prio=blevel,ready=prio,proc=eft,insert=off") in out
+
     def test_algo_describe_param_resolves_components(self, capsys):
         assert main(["algo", "describe", "param:prio=alap,insert=on"]) == 0
         out = capsys.readouterr().out

@@ -32,9 +32,13 @@ from repro.algorithms import (
     list_schedulers,
     parse_spec,
 )
+from repro import api
 from repro.algorithms.components import AXES, expand_param_grid
-from repro.core.machine import Machine
+from repro.algorithms.components.scheduler import run_component_loop
+from repro.core.machine import Machine, NetworkMachine
 from repro.core.schedule import validate
+from repro.generators.random_graphs import rgnos_graph
+from repro.network.topology import Topology
 
 _GRAPHS = corpus_graphs()
 
@@ -85,8 +89,29 @@ PAPER_TABLE = {
 }
 
 
+#: The same for the APN list schedulers, which the component loop serves
+#: on a processor network.  MH ranks by the b-level yet the paper files
+#: it as not CP-based; its design states that flag.
+APN_PAPER_TABLE = {
+    "MH": ((False, False, False), "O(v^2 p^3)"),
+    "DLS-APN": ((False, True, False), "O(v^3 p)"),
+}
+
+
 def test_bnp_designs_report_the_papers_flags_and_complexity():
     assert list_schedulers("BNP") == sorted(PAPER_TABLE)
+    for acro, (flags, complexity) in APN_PAPER_TABLE.items():
+        sched = get_scheduler(acro)
+        assert isinstance(sched, ParamScheduler)
+        assert sched.klass == "APN"
+        assert (sched.cp_based, sched.dynamic_priority,
+                sched.uses_insertion) == flags, acro
+        assert sched.complexity == complexity, acro
+        assert sched.origin, acro
+    assert get_scheduler("MH").spec == SchedulerSpec(
+        "blevel", "prio", "eft", "off")
+    assert get_scheduler("DLS-APN").spec == SchedulerSpec(
+        "slevel", "prio", "dls", "off")
     assert sorted(BNP_SPECS) == sorted(PAPER_TABLE)
     # Distinct designs must map to distinct coordinates.
     assert len(set(BNP_SPECS.values())) == 6
@@ -121,6 +146,13 @@ def test_acronyms_keep_their_names_and_cache_keys():
     assert api.request_key(graph, 2, "param:mcp") == (
         "b4db37decdf6d0c3|clique:2|"
         "param:prio=alaplist,ready=prio,proc=est,insert=on")
+    # The APN list schedulers keep their acronyms as cache keys too.
+    net = NetworkMachine(Topology.hypercube(2))
+    assert get_scheduler("dls-apn").name == "DLS-APN"
+    assert api.request_key(graph, net, "mh") == (
+        "b4db37decdf6d0c3|net:hypercube-2:4p:5e6c7d16391c;bw=1|MH")
+    assert api.request_key(graph, net, "DLS-APN") == (
+        "b4db37decdf6d0c3|net:hypercube-2:4p:5e6c7d16391c;bw=1|DLS-APN")
 
 
 # ----------------------------------------------------------------------
@@ -269,6 +301,51 @@ def test_random_combinations_valid_under_heterogeneous_speeds(
     schedule = get_scheduler(spec.canonical()).schedule(graph, machine)
     assert schedule.is_complete()
     assert validate(schedule, collect=True) == []
+
+
+# ----------------------------------------------------------------------
+# component specs on a processor network
+# ----------------------------------------------------------------------
+class TestNetworkMachine:
+    """On a network the loop books messages, or refuses what it cannot."""
+
+    GRAPH = rgnos_graph(30, 1.0, 3, seed=1)
+
+    @pytest.mark.parametrize("spec", [
+        "HLFET", "ETF", "DLS", "LAST",
+        "param:prio=blevel,ready=prio,proc=eft,insert=off",
+        "param:prio=alap,ready=fifo,proc=etf,insert=off",
+    ])
+    def test_append_only_specs_book_their_messages(self, spec):
+        topo = Topology.hypercube(2)
+        schedule = api.schedule(self.GRAPH, NetworkMachine(topo), spec,
+                                validate=False)
+        assert schedule.messages
+        assert validate(schedule, network=topo, collect=True) == []
+
+    @pytest.mark.parametrize("spec", [
+        "MCP", "ISH", "param:prio=blevel,ready=prio,proc=eft,insert=on",
+        "param:prio=slevel,ready=prio,proc=dls,insert=hole",
+    ])
+    def test_insertion_is_refused_naming_the_axis(self, spec):
+        machine = NetworkMachine(Topology.hypercube(2))
+        with pytest.raises(ValueError, match=r"insert=(on|hole)"):
+            api.schedule(self.GRAPH, machine, spec)
+
+    def test_pinned_history_is_refused(self):
+        machine = NetworkMachine(Topology.hypercube(2))
+        parts = parse_spec("param:prio=blevel,proc=eft").components()
+        first = self.GRAPH.entry_nodes[0]
+        with pytest.raises(ValueError, match="pinned history"):
+            run_component_loop(parts, self.GRAPH, machine,
+                               pinned=[(first, 0, 0.0, None)])
+
+    def test_dls_on_a_network_is_dls_apn(self):
+        machine = NetworkMachine(Topology.ring(4))
+        dls = get_scheduler("DLS").schedule(self.GRAPH, machine)
+        apn = get_scheduler("DLS-APN").schedule(self.GRAPH, machine)
+        assert dls.to_dict() == apn.to_dict()
+        assert list(dls.messages) == list(apn.messages)
 
 
 # ----------------------------------------------------------------------

@@ -109,8 +109,9 @@ class _ReferenceSelector:
         self.summary = f"full-rescan reference for {key}"
         self._pick = pick
 
-    def start(self, schedule, ready, prio, slot):
-        return _ReferenceState(self._pick, schedule, ready, prio, slot)
+    def start(self, oracle, ready, prio, slot):
+        return _ReferenceState(self._pick, oracle.schedule, ready, prio,
+                               slot)
 
 
 REFERENCE = {

@@ -5,6 +5,7 @@ import pytest
 from repro import Machine, Schedule, TaskGraph
 from repro.core.listsched import (
     ReadyTracker,
+    StartOracle,
     best_proc_min_est,
     candidate_procs,
     est_on_proc,
@@ -96,30 +97,30 @@ class TestEst:
     def test_est_includes_comm(self, diamond):
         s = Schedule(diamond, 2)
         s.place(0, 0, 0.0)
-        assert est_on_proc(s, 1, 0, insertion=False) == 1.0
-        assert est_on_proc(s, 1, 1, insertion=False) == 4.0
+        assert est_on_proc(StartOracle(s), 1, 0, insertion=False) == 1.0
+        assert est_on_proc(StartOracle(s), 1, 1, insertion=False) == 4.0
 
     def test_est_includes_proc_ready(self, diamond):
         s = Schedule(diamond, 2)
         s.place(0, 0, 0.0)
         s.place(2, 0, 1.0)  # occupies [1, 5)
-        assert est_on_proc(s, 1, 0, insertion=False) == 5.0
-        assert est_on_proc(s, 1, 0, insertion=True) == 5.0
+        assert est_on_proc(StartOracle(s), 1, 0, insertion=False) == 5.0
+        assert est_on_proc(StartOracle(s), 1, 0, insertion=True) == 5.0
 
     def test_best_proc_prefers_lower_id_on_tie(self, diamond):
         s = Schedule(diamond, 3)
-        p, t = best_proc_min_est(s, 0, insertion=False)
+        p, t = best_proc_min_est(StartOracle(s), 0, insertion=False)
         assert (p, t) == (0, 0.0)
 
     def test_best_proc_minimises(self, diamond):
         s = Schedule(diamond, 2)
         s.place(0, 0, 0.0)
-        p, t = best_proc_min_est(s, 1, insertion=False)
+        p, t = best_proc_min_est(StartOracle(s), 1, insertion=False)
         assert (p, t) == (0, 1.0)
 
     def test_best_proc_spills_when_busy(self, diamond):
         s = Schedule(diamond, 2)
         s.place(0, 0, 0.0)
         s.place(2, 0, 1.0)  # P0 busy until 5
-        p, t = best_proc_min_est(s, 1, insertion=False)
+        p, t = best_proc_min_est(StartOracle(s), 1, insertion=False)
         assert (p, t) == (1, 4.0)  # comm 3 beats waiting to 5
