@@ -76,24 +76,20 @@ def as_graph(source: GraphLike, name: Optional[str] = None) -> TaskGraph:
     if isinstance(source, Mapping):
         if "weights" not in source:
             raise GraphError("graph mapping needs a 'weights' list")
-        raw_edges = source.get("edges", [])
-        if isinstance(raw_edges, Mapping):
-            edges = dict(raw_edges)
-        else:
-            try:
-                edges = {(int(u), int(v)): float(c)
-                         for u, v, c in raw_edges}
-            except (TypeError, ValueError) as exc:
-                raise GraphError(
-                    f"graph 'edges' must be [u, v, cost] triples ({exc})"
-                ) from None
         try:
             weights = [float(w) for w in source["weights"]]
         except (TypeError, ValueError) as exc:
             raise GraphError(
                 f"graph 'weights' must be numbers ({exc})") from None
-        return TaskGraph(weights, edges,
-                         name=name or str(source.get("name", "request")))
+        # TaskGraph converts the [u, v, cost] list to arrays itself;
+        # a triple that does not convert surfaces as a GraphError.
+        try:
+            return TaskGraph(weights, source.get("edges", []),
+                             name=name or str(source.get("name", "request")))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise GraphError(
+                f"graph 'edges' must be [u, v, cost] triples ({exc})"
+            ) from None
     raise GraphError(
         f"cannot build a task graph from {type(source).__name__}")
 

@@ -421,7 +421,13 @@ def algo_main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     from ..algorithms import get_scheduler, list_schedulers
-    from ..algorithms.components import AXES, BNP_SPECS, ParamScheduler
+    from ..algorithms.components import (
+        APN_DESIGNS,
+        AXES,
+        BNP_DESIGNS,
+        BNP_SPECS,
+        ParamScheduler,
+    )
 
     if args.verb == "list":
         print(f"{'name':<8} {'class':<5} {'cp':<4} {'dyn':<4} "
@@ -478,7 +484,10 @@ def algo_main(argv: Optional[List[str]] = None) -> int:
             print(f"    {label:<16} {component.summary}")
         if isinstance(sched, OnlineScheduler):
             print(f"  information mode: {sched.spec.imode}")
-        designs = [acro for acro, spec in BNP_SPECS.items() if spec == base]
+        # DLS-APN shares DLS's coordinates: the class tells them apart.
+        designs = [acro for acro, design in {**BNP_DESIGNS,
+                                             **APN_DESIGNS}.items()
+                   if design.spec == base and design.klass == sched.klass]
         if designs:
             print(f"  paper design: {designs[0]}")
     return 0

@@ -62,8 +62,9 @@ class WorkerPool:
     up front by :meth:`ensure`).
 
     ``jobs`` follows the CLI convention: ``None``/``1`` — run
-    in-process with no subprocesses at all; ``N > 1`` — ``N`` workers;
-    ``0`` — one per usable CPU.  :meth:`drain` finishes all submitted
+    in-process with no subprocesses at all; ``N > 1`` — ``N`` workers,
+    which run every batch, a batch of one included; ``0`` — one per
+    usable CPU.  :meth:`drain` finishes all submitted
     work and releases the workers (the SIGTERM path of the service);
     :meth:`shutdown` with ``wait=False`` kills them immediately.  The
     object is reusable after either — the next submission simply forks
@@ -89,11 +90,12 @@ class WorkerPool:
     def imap(self, fn, batch: Sequence, chunksize: int = 1):
         """Order-preserving lazy map over the persistent workers.
 
-        Falls back to an in-process generator when ``jobs <= 1`` or the
-        batch has a single item (same policy as ``execute_cells``), so
-        callers never pay pool overhead for degenerate batches.
+        The one dispatch rule: ``jobs <= 1`` runs in-process, anything
+        else on the workers, a batch of one included (callers that
+        should not fork for one item size the pool to it, as
+        ``execute_cells`` does).
         """
-        if self.jobs <= 1 or len(batch) <= 1:
+        if self.jobs <= 1:
             return (fn(args) for args in batch)
         return self.ensure().imap(fn, batch, chunksize=chunksize)
 
@@ -180,8 +182,8 @@ def execute_cells(keys: Sequence[Tuple[str, str]], work: Sequence,
     once at the end.  Both the static grid (:func:`run_grid`) and the
     Monte-Carlo sim grid (:func:`repro.sim.bench.run_sim_grid`) run on
     this one implementation.  The cells run through one
-    :meth:`WorkerPool.imap` of at most ``min(jobs, cells)`` workers,
-    which stays in-process for one worker or one cell.
+    :meth:`WorkerPool.imap` of ``min(jobs, cells)`` workers, so one
+    worker or one cell runs in-process.
     """
     rows: List = [None] * len(keys)
     todo: List[int] = []

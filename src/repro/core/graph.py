@@ -12,7 +12,7 @@ critical path) are computed lazily and cached.
 
 from __future__ import annotations
 
-from collections import deque
+import hashlib
 from typing import (
     Any,
     Callable,
@@ -60,11 +60,13 @@ class TaskGraph:
 
     __slots__ = (
         "_weights",
+        "_csr",
         "_succ",
         "_pred",
         "_succ_costs",
         "_pred_costs",
-        "_edge_cost",
+        "_edge_dict",
+        "_total_comm",
         "name",
         "_topo",
         "_entries",
@@ -86,48 +88,40 @@ class TaskGraph:
         n = int(w.size)
 
         if isinstance(edges, Mapping):
-            items = [(u, v, c) for (u, v), c in edges.items()]
+            items: Sequence[Any] = [(u, v, c) for (u, v), c in edges.items()]
         else:
-            items = [(u, v, c) for (u, v, c) in edges]
+            items = edges if isinstance(edges, list) else list(edges)
+        src, dst, cost, failure = _edge_columns(items, n)
+        csr = _validated_csr(n, src, dst, cost, items)
+        if failure is not None:
+            raise failure
+        # Summed in input order, exactly as the edge dict it replaces.
+        self._adopt(w, csr, float(sum(cost.tolist())), name)
+        # Validate acyclicity eagerly: a cyclic "task graph" is never usable.
+        self._topo = _kahn_order(self._succ, self._pred)
 
-        succ: List[List[int]] = [[] for _ in range(n)]
-        pred: List[List[int]] = [[] for _ in range(n)]
-        cost: Dict[Edge, float] = {}
-        for u, v, c in items:
-            u, v, c = int(u), int(v), float(c)
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u}, {v}) references unknown node")
-            if u == v:
-                raise GraphError(f"self loop on node {u}")
-            if c < 0:
-                raise GraphError(f"negative communication cost on ({u}, {v})")
-            if (u, v) in cost:
-                raise GraphError(f"duplicate edge ({u}, {v})")
-            cost[(u, v)] = c
-            succ[u].append(v)
-            pred[v].append(u)
-        for lst in succ:
-            lst.sort()
-        for lst in pred:
-            lst.sort()
-
-        self._weights = w
-        self._weights.setflags(write=False)
-        self._succ = succ
-        self._pred = pred
+    def _adopt(self, weights: np.ndarray,
+               csr: Tuple[np.ndarray, ...], total_comm: float,
+               name: str) -> None:
+        """Install validated arrays; the adjacency lists are their rows."""
+        for arr in (weights, *csr):
+            arr.setflags(write=False)
+        self._weights = weights
+        self._csr = csr
+        s_ptr, s_idx, s_cost, p_ptr, p_idx, p_cost = csr
+        self._succ = _rows(s_ptr, s_idx)
+        self._pred = _rows(p_ptr, p_idx)
         # Communication costs aligned index-for-index with the adjacency
         # lists: the kernel inner loops walk (neighbour, cost) pairs
         # without touching the edge dict.
-        self._succ_costs = [[cost[(u, v)] for v in succ[u]] for u in range(n)]
-        self._pred_costs = [[cost[(p, v)] for p in pred[v]] for v in range(n)]
-        self._edge_cost = cost
+        self._succ_costs = _rows(s_ptr, s_cost)
+        self._pred_costs = _rows(p_ptr, p_cost)
+        self._edge_dict: Dict[Edge, float] | None = None
+        self._total_comm = total_comm
         self._cache: Dict[str, Any] = {}
         self.name = name
-        self._topo: Tuple[int, ...] | None = None
         self._entries: Tuple[int, ...] | None = None
         self._exits: Tuple[int, ...] | None = None
-        # Validate acyclicity eagerly: a cyclic "task graph" is never usable.
-        self._compute_topo()
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -140,7 +134,7 @@ class TaskGraph:
     @property
     def num_edges(self) -> int:
         """Number of precedence edges ``e``."""
-        return len(self._edge_cost)
+        return int(self._csr[1].size)
 
     @property
     def weights(self) -> np.ndarray:
@@ -150,6 +144,16 @@ class TaskGraph:
     def weight(self, node: int) -> float:
         """Computation cost ``w(node)``."""
         return float(self._weights[node])
+
+    @property
+    def _edge_cost(self) -> Dict[Edge, float]:
+        """``(u, v) -> cost`` for every edge, built on first use."""
+        cost = self._edge_dict
+        if cost is None:
+            cost = self._edge_dict = dict(zip(
+                ((u, v) for u, v, _c in self.edges()),
+                self._csr[2].tolist()))
+        return cost
 
     def comm_cost(self, u: int, v: int) -> float:
         """Communication cost ``c(u, v)``; raises ``KeyError`` if no edge."""
@@ -174,8 +178,10 @@ class TaskGraph:
         return len(self._pred[node])
 
     def edges(self) -> List[Tuple[int, int, float]]:
-        """All edges as ``(u, v, cost)`` triples in deterministic order."""
-        return sorted((u, v, c) for (u, v), c in self._edge_cost.items())
+        """All edges as ``(u, v, cost)`` triples, ascending by ``(u, v)``."""
+        indptr, indices, costs = self._csr[:3]
+        src = np.repeat(np.arange(self.num_nodes), np.diff(indptr))
+        return list(zip(src.tolist(), indices.tolist(), costs.tolist()))
 
     def nodes(self) -> range:
         """Node ids ``0 .. num_nodes-1``."""
@@ -192,16 +198,16 @@ class TaskGraph:
         part of every schedule-cache key (see :mod:`repro.service`):
         equal fingerprints guarantee bit-identical schedules from any
         deterministic scheduler.  Computed once per graph (the graph is
-        immutable) and memoised.
+        immutable) and memoised.  The edges are hashed as one string,
+        ``|u,v,cost`` per edge in ``(u, v)`` order with costs in
+        ``.17g``, so persisted keys stay valid.
         """
-        import hashlib
 
         def compute(g: "TaskGraph") -> str:
             h = hashlib.sha256()
             h.update(str(g.num_nodes).encode())
             h.update(g._weights.tobytes())
-            for u, v, c in g.edges():
-                h.update(f"|{u},{v},{c:.17g}".encode())
+            h.update(_edge_text(g).encode())
             return h.hexdigest()[:16]
 
         return str(self.cached("_fingerprint", compute))
@@ -230,16 +236,14 @@ class TaskGraph:
         of ``u`` are ``indices[indptr[u]:indptr[u+1]]`` (ascending) and
         ``costs`` is aligned index-for-index with ``indices``.
         """
-        csr = self.cached("_succ_csr", lambda g: _build_csr(g._succ,
-                                                            g._succ_costs))
+        csr = self._csr[:3]
         if _sanitize.enabled():
             self._sanitize_csr("_succ_csr", csr, self._succ, self._succ_costs)
         return csr
 
     def pred_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Predecessor adjacency in CSR form (mirror of :meth:`succ_csr`)."""
-        csr = self.cached("_pred_csr", lambda g: _build_csr(g._pred,
-                                                            g._pred_costs))
+        csr = self._csr[3:]
         if _sanitize.enabled():
             self._sanitize_csr("_pred_csr", csr, self._pred, self._pred_costs)
         return csr
@@ -250,9 +254,9 @@ class TaskGraph:
                       costs: List[List[float]]) -> None:
         """Sanitizer hook: CSR must round-trip against the list adjacency.
 
-        Runs on every armed call — the cached CSR was built from the
-        lists at first use, so a later mismatch means a kernel or
-        scheduler corrupted shared adjacency memory.
+        Runs on every armed call — the lists are the CSR's rows at
+        construction, so a later mismatch means a kernel or scheduler
+        corrupted shared adjacency memory.
         """
         indptr, indices, cost = csr
         _sanitize.require(
@@ -292,30 +296,10 @@ class TaskGraph:
     # ------------------------------------------------------------------
     # structure
     # ------------------------------------------------------------------
-    def _compute_topo(self) -> Tuple[int, ...]:
-        if self._topo is not None:
-            return self._topo
-        n = self.num_nodes
-        indeg = [len(self._pred[i]) for i in range(n)]
-        # Kahn's algorithm with a FIFO over ascending ids: deterministic.
-        queue = deque(i for i in range(n) if indeg[i] == 0)
-        order: List[int] = []
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for v in self._succ[u]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    queue.append(v)
-        if len(order) != n:
-            raise CycleError("task graph contains a directed cycle")
-        self._topo = tuple(order)
-        return self._topo
-
     @property
     def topological_order(self) -> Tuple[int, ...]:
         """A deterministic topological ordering of the nodes."""
-        return self._compute_topo()
+        return self._topo
 
     @property
     def entry_nodes(self) -> Tuple[int, ...]:
@@ -346,7 +330,7 @@ class TaskGraph:
     @property
     def total_communication(self) -> float:
         """Sum of all communication costs."""
-        return float(sum(self._edge_cost.values()))
+        return self._total_comm
 
     @property
     def ccr(self) -> float:
@@ -355,7 +339,7 @@ class TaskGraph:
         Defined (Section 2 of the paper) as average communication cost
         divided by average computation cost; 0 for edge-less graphs.
         """
-        if not self._edge_cost:
+        if not self.num_edges:
             return 0.0
         avg_c = self.total_communication / self.num_edges
         avg_w = self.total_computation / self.num_nodes
@@ -409,23 +393,31 @@ class TaskGraph:
         return g
 
     def relabeled(self, name: str) -> "TaskGraph":
-        """Shallow copy with a different ``name``."""
-        return TaskGraph(self._weights, self._edge_cost, name=name)
+        """Copy with a different ``name`` (shares the read-only arrays)."""
+        copy = TaskGraph.__new__(TaskGraph)
+        copy.__setstate__({**self.__getstate__(), "name": name})
+        return copy
 
     def __len__(self) -> int:
         return self.num_nodes
 
     def __getstate__(self) -> Dict[str, Any]:
-        # The cache holds derived numpy arrays/plans that are cheap to
-        # rebuild and may not pickle stably; ship only the definition.
+        # Ship the validated arrays and the order, not the edge list:
+        # the receiving side adopts them without revalidating.  The
+        # cache holds derived plans that are cheap to rebuild and may
+        # not pickle stably.
         return {
             "weights": self._weights,
-            "edges": self._edge_cost,
+            "csr": self._csr,
+            "topo": self._topo,
+            "total_comm": self._total_comm,
             "name": self.name,
         }
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__init__(state["weights"], state["edges"], name=state["name"])
+        self._adopt(state["weights"], state["csr"], state["total_comm"],
+                    state["name"])
+        self._topo = state["topo"]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -434,20 +426,139 @@ class TaskGraph:
         )
 
 
-def _build_csr(adj: List[List[int]], costs: List[List[float]]
-               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Compress per-node adjacency/cost lists into read-only CSR arrays."""
-    n = len(adj)
+def _rows(indptr: np.ndarray, values: np.ndarray) -> List[List[Any]]:
+    """The rows of one CSR array as Python lists."""
+    ptr = indptr.tolist()
+    flat = values.tolist()
+    return [flat[lo:hi] for lo, hi in zip(ptr, ptr[1:])]
+
+
+def _edge_columns(items: Sequence[Any], n: int
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                             Exception | None]:
+    """``items`` as int64 source, int64 target and float64 cost arrays.
+
+    Every value converts as ``int(u), int(v), float(c)`` would; node
+    ids are clipped to ``[-1, n]``, which keeps them out of range when
+    they were.  When some edge does not convert, the arrays hold the
+    edges before it and the fourth value is that edge's exception.
+    Columns of plain numbers convert in a few array calls; anything
+    else (strings, nested or ragged triples, ids past 2**53) takes the
+    per-edge loop.
+    """
+    try:
+        # zip stops at the shortest triple; the length sum rules out
+        # longer ones.
+        cols = [np.array(col) for col in zip(*items)] if items else [
+            np.zeros(0, np.int64)] * 3
+        if (len(cols) == 3 and sum(map(len, items)) == 3 * len(items)
+                and all(col.ndim == 1 and col.dtype.kind in "bif"
+                        for col in cols)
+                and all(col.dtype.kind != "f"
+                        or bool(np.all(np.abs(col) < 2.0 ** 53))
+                        for col in cols[:2])):
+            src, dst = (np.clip(col.astype(np.int64), -1, n)
+                        for col in cols[:2])
+            return src, dst, cols[2].astype(np.float64), None
+    except (TypeError, ValueError, OverflowError):
+        pass
+    failure: Exception | None = None
+    src_l: List[int] = []
+    dst_l: List[int] = []
+    cost_l: List[float] = []
+    for u, v, c in [(u, v, c) for (u, v, c) in items]:
+        try:
+            u, v, c = int(u), int(v), float(c)
+        except Exception as exc:
+            failure = exc
+            break
+        src_l.append(min(max(u, -1), n))
+        dst_l.append(min(max(v, -1), n))
+        cost_l.append(c)
+    return (np.array(src_l, dtype=np.int64), np.array(dst_l, dtype=np.int64),
+            np.array(cost_l, dtype=np.float64), failure)
+
+
+def _validated_csr(n: int, src: np.ndarray, dst: np.ndarray,
+                   cost: np.ndarray, items: Sequence[Any]
+                   ) -> Tuple[np.ndarray, ...]:
+    """Check the edges and compress them into succ and pred CSR arrays.
+
+    The checks run as array operations but raise exactly what a
+    per-edge loop would: the first bad edge in input order gets the
+    first of its faults among unknown node, self loop, negative cost
+    and duplicate (a repeat of an earlier ``(u, v)``, found by a
+    stable sort on ``u * n + v``).  Returns ``(succ indptr, succ
+    indices, succ costs, pred indptr, pred indices, pred costs)``;
+    rows ascend by neighbour.
+    """
+    e = src.size
+    known = (src >= 0) & (src < n) & (dst >= 0) & (dst < n)
+    key = np.where(known, src * n + dst, -1 - np.arange(e))
+    order = np.argsort(key, kind="stable")
+    ranked = key[order]
+    dup = np.zeros(e, dtype=bool)
+    dup[order[1:][ranked[1:] == ranked[:-1]]] = True
+    loop = src == dst
+    negative = cost < 0
+    bad = ~known | loop | negative | dup
+    if bad.any():
+        i = int(np.argmax(bad))
+        u, v = int(items[i][0]), int(items[i][1])
+        if not known[i]:
+            raise GraphError(f"edge ({u}, {v}) references unknown node")
+        if loop[i]:
+            raise GraphError(f"self loop on node {u}")
+        if negative[i]:
+            raise GraphError(f"negative communication cost on ({u}, {v})")
+        raise GraphError(f"duplicate edge ({u}, {v})")
+    by_dst = np.argsort(dst * n + src, kind="stable")
+    return (_indptr(src, n), dst[order], cost[order],
+            _indptr(dst, n), src[by_dst], cost[by_dst])
+
+
+def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum([len(a) for a in adj], out=indptr[1:])
-    indices = np.fromiter(
-        (v for a in adj for v in a), dtype=np.int64, count=int(indptr[-1]))
-    cost = np.fromiter(
-        (c for cl in costs for c in cl), dtype=np.float64,
-        count=int(indptr[-1]))
-    for arr in (indptr, indices, cost):
-        arr.setflags(write=False)
-    return indptr, indices, cost
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr
+
+
+def _kahn_order(succ: List[List[int]], pred: List[List[int]]
+                ) -> Tuple[int, ...]:
+    """Kahn's algorithm with a FIFO over ascending ids: deterministic."""
+    indeg = [len(p) for p in pred]
+    order = [u for u, d in enumerate(indeg) if d == 0]
+    for u in order:  # the FIFO: appended nodes are visited in turn
+        for v in succ[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                order.append(v)
+    if len(order) != len(succ):
+        raise CycleError("task graph contains a directed cycle")
+    return tuple(order)
+
+
+def _edge_text(graph: "TaskGraph") -> str:
+    """``|u,v,cost`` for every edge in ``(u, v)`` order, one string.
+
+    Each distinct cost (by bit pattern, so ``-0.0`` stays apart from
+    ``0.0``) is formatted once; object arrays concatenate the
+    ``v,cost`` pieces without a Python loop over the edges.
+    """
+    indptr, indices, costs = graph._csr[:3]
+    bits, inverse = np.unique(costs.view(np.int64), return_inverse=True)
+    text = np.array([format(c, ".17g") for c in bits.view(np.float64).tolist()],
+                    dtype=object)
+    targets = np.array([f"{v}," for v in range(graph.num_nodes)],
+                       dtype=object)
+    pairs = (targets[indices] + text[inverse]).tolist()
+    ptr = indptr.tolist()
+    rows = []
+    for u, (lo, hi) in enumerate(zip(ptr, ptr[1:])):
+        if lo < hi:
+            head = f"|{u},"
+            rows.append(head + head.join(pairs[lo:hi]))
+    return "".join(rows)
 
 
 def _compute_levels(graph: "TaskGraph") -> np.ndarray:

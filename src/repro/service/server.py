@@ -7,18 +7,24 @@ Request lifecycle::
         miss -> parse, build and key once (_parse_and_key), coalesce
                 with any identical in-flight request, else enqueue
                 the built job on the bounded queue   (full -> 429)
-        batch loop drains the queue (up to ``max_batch`` jobs), runs
-        the batch on the persistent WorkerPool (which only schedules),
-        fulfils futures, populates the cache
+        batch loop drains the queue (up to ``max_batch`` jobs) into
+        one of ``jobs`` batch slots, runs the batch on the persistent
+        WorkerPool (which only schedules), fulfils futures, populates
+        the cache
     handler awaits its future under ``timeout_s``  (late -> 504)
 
 Batching is what makes the worker pool a service component rather
 than a per-request fork: concurrent misses ride one executor
 round-trip, exactly like grid cells ride one ``execute_cells`` call —
 and it *is* the same pool class
-(:class:`~repro.bench.parallel.WorkerPool`), so `jobs > 1` fans a
-batch across processes while ``jobs=1`` schedules in-process with no
-multiprocessing at all.
+(:class:`~repro.bench.parallel.WorkerPool`).  With ``jobs > 1`` every
+batch, a batch of one included, is scheduled in the workers, and up
+to ``jobs`` batches are in flight at once, so no worker idles while
+the server's own thread reads, parses, builds, keys and encodes the
+next request.  The built graph crosses to a worker as its validated
+CSR arrays and topological order, which the worker adopts without
+rebuilding.  With ``jobs=1`` one batch at a time is scheduled
+in-process with no multiprocessing at all.
 
 Shutdown: :meth:`ScheduleService.drain` (wired to SIGTERM/SIGINT by
 ``repro-bench serve``) stops accepting, lets queued and in-flight
@@ -41,7 +47,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from .. import api
 from ..bench.parallel import WorkerPool
@@ -117,6 +123,7 @@ class ScheduleService:
         self._server: Optional[asyncio.AbstractServer] = None
         self._queue: Optional[asyncio.Queue] = None
         self._batch_task: Optional[asyncio.Task] = None
+        self._batches: Set[asyncio.Task] = set()  # in flight on the pool
         self._drain_task: Optional[asyncio.Task] = None
         self._pending: Dict[str, asyncio.Future] = {}
         self._lanes: Set[int] = set()  # trace lanes of open requests
@@ -139,8 +146,11 @@ class ScheduleService:
             # open client sockets, and their clients never see EOF.
             self.pool.ensure()
         self._queue = asyncio.Queue(maxsize=self.config.queue_limit)
+        # Each batch in flight holds a thread while it waits on the
+        # pool; four more stay free for parsing.
         self._executor = ThreadPoolExecutor(
-            max_workers=4, thread_name_prefix="repro-service")
+            max_workers=4 + self.pool.jobs,
+            thread_name_prefix="repro-service")
         self._server = await asyncio.start_server(
             self._handle, self.config.host, self.config.port)
         self.port = self._server.sockets[0].getsockname()[1]
@@ -341,31 +351,55 @@ class ScheduleService:
     async def _batch_loop(self) -> None:
         assert self._queue is not None
         loop = asyncio.get_running_loop()
+        # One batch in flight per worker, so no worker idles while the
+        # server parses the next request.  A slot id is also the trace
+        # track of its batch: spans open at once need distinct tracks.
+        slots: asyncio.Queue = asyncio.Queue()
+        for slot in range(self.pool.jobs):
+            slots.put_nowait(slot)
         while True:
+            slot = await slots.get()
             jobs = [await self._queue.get()]
             while len(jobs) < self.config.max_batch:
                 try:
                     jobs.append(self._queue.get_nowait())
                 except asyncio.QueueEmpty:
                     break
-            with _trace.root_span("service.batch", "service.batch",
-                                  size=len(jobs)):
-                try:
-                    results = await loop.run_in_executor(
-                        self._executor, functools.partial(
-                            self.pool.run_batch, schedule_cell,
-                            [job for _key, job, _fut in jobs]))
-                except Exception as exc:  # pool died mid-batch
-                    results = [{"error": f"worker pool failure: {exc}"}
-                               ] * len(jobs)
-            self.stats["batches"] += 1
-            self.stats["scheduled"] += len(jobs)
-            _metrics.observe("service.batch_size", float(len(jobs)))
-            for (key, _job, future), result in zip(jobs, results):
-                if "error" not in result:
-                    result["key"] = key
-                    self.cache.put(key, result)
-                self._pending.pop(key, None)
-                if not future.done():
-                    future.set_result(result)
-                self._queue.task_done()
+            batch = loop.create_task(self._run_batch(slot, jobs))
+            self._batches.add(batch)
+            batch.add_done_callback(
+                functools.partial(self._batch_done, slots, slot))
+
+    def _batch_done(self, slots: asyncio.Queue, slot: int,
+                    batch: asyncio.Task) -> None:
+        """Free the batch's slot; an unexpected failure is raised here,
+        where the loop's exception handler reports it."""
+        self._batches.discard(batch)
+        slots.put_nowait(slot)
+        if not batch.cancelled():
+            batch.result()
+
+    async def _run_batch(self, slot: int, jobs: List) -> None:
+        """Schedule one batch on the pool and fulfil its futures."""
+        assert self._queue is not None
+        with _trace.root_span("service.batch", f"service.batch#{slot}",
+                              size=len(jobs)):
+            try:
+                results = await asyncio.get_running_loop().run_in_executor(
+                    self._executor, functools.partial(
+                        self.pool.run_batch, schedule_cell,
+                        [job for _key, job, _fut in jobs]))
+            except Exception as exc:  # pool died mid-batch
+                results = [{"error": f"worker pool failure: {exc}"}
+                           ] * len(jobs)
+        self.stats["batches"] += 1
+        self.stats["scheduled"] += len(jobs)
+        _metrics.observe("service.batch_size", float(len(jobs)))
+        for (key, _job, future), result in zip(jobs, results):
+            if "error" not in result:
+                result["key"] = key
+                self.cache.put(key, result)
+            self._pending.pop(key, None)
+            if not future.done():
+                future.set_result(result)
+            self._queue.task_done()

@@ -37,7 +37,7 @@ from typing import Dict, Optional, Tuple
 from ...algorithms.base import Scheduler
 from ...algorithms.components.scheduler import run_component_loop
 from ...core.graph import TaskGraph
-from ...core.machine import Machine
+from ...core.machine import Machine, NetworkMachine
 from ...core.rng import derive_rng
 from ...core.schedule import Schedule
 from ...obs import trace as _trace
@@ -58,6 +58,12 @@ class PlanRescheduler(OnlinePolicy):
 
     def __init__(self, spec: OnlineSchedulerSpec, graph: TaskGraph,
                  machine: Machine):
+        if isinstance(machine, NetworkMachine):
+            # A replan pins the executed history, and on a network that
+            # history includes messages the loop cannot pin.
+            raise ValueError(
+                f"{spec.canonical()} replans on a processor clique only, "
+                f"not on the network {machine!r}")
         self.spec = spec
         self.machine = machine
         # The estimate stream is keyed by graph name so one seed gives

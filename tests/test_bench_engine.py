@@ -82,6 +82,40 @@ class TestParallelEquality:
 # ----------------------------------------------------------------------
 # ResultStore persistence
 # ----------------------------------------------------------------------
+def _pid_of(x):
+    """Pool worker: which process ran this item (module-level: pickles)."""
+    import os
+
+    return os.getpid(), x
+
+
+class TestPoolDispatch:
+    """One dispatch rule: ``jobs <= 1`` runs in-process, any other pool
+    runs every batch on its workers, a batch of one included."""
+
+    def test_batch_of_one_runs_in_a_worker(self):
+        import os
+
+        with parallel_mod.WorkerPool(2) as pool:
+            [(pid, item)] = pool.run_batch(_pid_of, ["x"])
+        assert item == "x" and pid != os.getpid()
+
+    def test_one_job_pool_stays_in_process(self):
+        import os
+
+        pool = parallel_mod.WorkerPool(1)
+        assert pool.run_batch(_pid_of, [1, 2]) == [(os.getpid(), 1),
+                                                  (os.getpid(), 2)]
+        assert not pool.alive  # nothing was forked
+
+    def test_one_cell_grid_stays_in_process(self):
+        import os
+
+        rows = parallel_mod.execute_cells([("a", "g")], [7], _pid_of,
+                                          "fp", jobs=2)
+        assert rows == [(os.getpid(), 7)]
+
+
 class TestResultStore:
     def test_save_load_round_trip(self, tmp_path):
         store = ResultStore(str(tmp_path))

@@ -384,6 +384,16 @@ class TestAlgoVerbs:
         out = capsys.readouterr().out
         assert "paper design: LAST" in out
 
+    @pytest.mark.parametrize("name, design", [("DLS-APN", "DLS-APN"),
+                                              ("MH", "MH"),
+                                              ("DLS", "DLS")])
+    def test_algo_describe_names_the_schedulers_own_design(self, capsys,
+                                                           name, design):
+        # DLS-APN sits at DLS's coordinates; each names itself.
+        assert main(["algo", "describe", name]) == 0
+        out = capsys.readouterr().out
+        assert f"paper design: {design}\n" in out
+
     def test_algo_describe_unknown_exits_2_one_line(self, capsys):
         assert main(["algo", "describe", "NOPE"]) == 2
         err = capsys.readouterr().err

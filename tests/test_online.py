@@ -166,6 +166,21 @@ class TestStaticEquivalence:
             assert res.makespan == static.length
 
 
+    @pytest.mark.parametrize("spec", ["online:hlfet,imode=exact",
+                                      "online:mcp,imode=mean"])
+    def test_network_machine_refused_up_front(self, spec):
+        # A replan pins executed history, whose messages a network
+        # cannot pin: every online spec refuses one before running.
+        from repro import api
+        from repro.core.machine import NetworkMachine
+        from repro.network.topology import Topology
+
+        machine = NetworkMachine(Topology.hypercube(2))
+        with pytest.raises(ValueError, match="hypercube") as err:
+            api.schedule(rgnos_graph(30, 1.0, 3, seed=1), machine, spec)
+        assert "pinned" not in str(err.value)  # not from inside the loop
+
+
 # ----------------------------------------------------------------------
 # the engine under noise and partial information
 # ----------------------------------------------------------------------

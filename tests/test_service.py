@@ -12,7 +12,7 @@ cannot starve it).  Covered contract:
 * concurrent requests trace as a valid span forest;
 * a cold request builds and fingerprints its graph once, and the
   worker pool (forked at start, so clients still see EOF) returns the
-  in-process results;
+  in-process results, with one batch in flight per worker;
 * the per-request deadline answers 504;
 * the bounded queue answers 429 backpressure;
 * a warm hit is byte-for-byte the same schedule the cold request
@@ -30,6 +30,7 @@ from __future__ import annotations
 import asyncio
 import json
 import socket
+import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
@@ -380,6 +381,44 @@ class TestWorkerPoolLifecycle:
         outcomes, stats = _serve(body, jobs=2)
         assert stats["scheduled"] > stats["batches"]
         assert all(outcomes)
+
+
+def _slow_cell(job):
+    """Pool worker stand-in for ``schedule_cell``: holds its worker for
+    a while and reports where and when it ran (module-level: pickles)."""
+    import os
+    import time
+
+    start = time.monotonic()
+    time.sleep(0.6)
+    return {"spec": job[2], "length": 0.0, "schedule": {},
+            "pid": os.getpid(), "ran": [start, time.monotonic()]}
+
+
+class TestBatchDispatch:
+    def test_one_batch_in_flight_per_worker(self, monkeypatch):
+        # A second request arriving while the first batch runs is
+        # dispatched at once to the idle worker, not after the first.
+        from repro.service import server
+
+        monkeypatch.setattr(server, "schedule_cell", _slow_cell)
+
+        def body(service, _client):
+            def send(k):
+                time.sleep(0.25 * k)
+                return ServiceClient(port=service.port, timeout=10.0
+                                     ).schedule(OTHER if k else GRAPH, 2)
+
+            with ThreadPoolExecutor(2) as threads:
+                answers = list(threads.map(send, range(2)))
+            return answers, dict(service.stats)
+
+        answers, stats = _serve(body, jobs=2)
+        assert [status for status, _ in answers] == [200, 200]
+        assert stats["batches"] == 2
+        (a0, a1), (b0, b1) = (payload["ran"] for _, payload in answers)
+        assert max(a0, b0) < min(a1, b1)  # the two batches overlapped
+        assert answers[0][1]["pid"] != answers[1][1]["pid"]
 
 
 def _post(body: bytes) -> bytes:
