@@ -32,6 +32,9 @@ from .exceptions import CycleError, GraphError
 __all__ = ["TaskGraph"]
 
 Edge = Tuple[int, int]
+#: succ indptr, indices and costs, then the same for pred.
+_CSR = Tuple[np.ndarray, np.ndarray, np.ndarray,
+             np.ndarray, np.ndarray, np.ndarray]
 
 
 class TaskGraph:
@@ -100,8 +103,7 @@ class TaskGraph:
         # Validate acyclicity eagerly: a cyclic "task graph" is never usable.
         self._topo = _kahn_order(self._succ, self._pred)
 
-    def _adopt(self, weights: np.ndarray,
-               csr: Tuple[np.ndarray, ...], total_comm: float,
+    def _adopt(self, weights: np.ndarray, csr: _CSR, total_comm: float,
                name: str) -> None:
         """Install validated arrays; the adjacency lists are their rows."""
         for arr in (weights, *csr):
@@ -480,8 +482,7 @@ def _edge_columns(items: Sequence[Any], n: int
 
 
 def _validated_csr(n: int, src: np.ndarray, dst: np.ndarray,
-                   cost: np.ndarray, items: Sequence[Any]
-                   ) -> Tuple[np.ndarray, ...]:
+                   cost: np.ndarray, items: Sequence[Any]) -> _CSR:
     """Check the edges and compress them into succ and pred CSR arrays.
 
     The checks run as array operations but raise exactly what a
@@ -547,8 +548,8 @@ def _edge_text(graph: "TaskGraph") -> str:
     """
     indptr, indices, costs = graph._csr[:3]
     bits, inverse = np.unique(costs.view(np.int64), return_inverse=True)
-    text = np.array([format(c, ".17g") for c in bits.view(np.float64).tolist()],
-                    dtype=object)
+    text = np.array([format(c, ".17g")
+                     for c in bits.view(np.float64).tolist()], dtype=object)
     targets = np.array([f"{v}," for v in range(graph.num_nodes)],
                        dtype=object)
     pairs = (targets[indices] + text[inverse]).tolist()

@@ -273,9 +273,9 @@ def test_pickle_round_trip_keeps_every_view_without_revalidating(
 
 def test_total_communication_sums_in_input_order():
     # Float addition is not associative: the sum follows the order the
-    # edges were given in, as the edge dict it replaces did.
-    costs = [1e16, 1.0, -1e16 + 2.0, 1.0]
-    edges = [(0, 1, costs[0]), (2, 3, costs[1]), (1, 2, 1e16),
-             (0, 3, costs[3])]
+    # edges were given in, as the edge dict it replaces did, not the
+    # (u, v) order of the CSR.
+    edges = [(2, 3, 1.0), (1, 2, 1.0), (0, 1, 1e16)]
     g = TaskGraph([1.0] * 4, edges)
-    assert g.total_communication == sum(c for _u, _v, c in edges)
+    assert g.total_communication == 1.0 + 1.0 + 1e16
+    assert g.total_communication != 1e16 + 1.0 + 1.0
