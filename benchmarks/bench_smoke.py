@@ -10,15 +10,17 @@ micro-benchmarks in ``bench_kernel.py``; one shared baseline) via::
 and compared against the committed ``benchmarks/baseline_smoke.json``
 (regenerate with ``--update`` after a deliberate performance change).
 Each case covers one layer: the clique grid engine, a single large-ish
-list scheduling run, the APN contention machinery, and scenario
-compilation.
+list scheduling run, the APN contention machinery, scenario
+compilation, input generation and schedule validation.
 """
 
 from __future__ import annotations
 
+from repro import api
 from repro.bench.runner import run_grid
 from repro.bench.suites import psg_suite
 from repro.core.machine import Machine, NetworkMachine
+from repro.core.schedule import validate
 from repro.generators.random_graphs import rgnos_graph
 from repro.network.topology import Topology
 from repro.algorithms import get_scheduler
@@ -161,3 +163,40 @@ def test_smoke_service_storm(benchmark):
     assert report.rejected == report.timeouts == report.errors == 0
     assert report.warm > report.cold
     assert report.speedup >= 5.0
+
+
+def test_smoke_generate_suites(benchmark):
+    """Input generation: the 27 graphs of perfbench's Table-6 slice
+    (v 50/100/150 x ccr 0.1/1/10 x parallelism 1/3/5) plus three storm
+    templates (150, 250 and 400 nodes) built into request bodies.
+
+    Gates the generators' per-node vector draws and the CSR-built
+    bodies: with one scalar draw and one tuple per edge the case took
+    2.6x as long (min 386 ms against 146 ms, same host).
+    """
+    from repro.core.rng import derive_rng
+    from repro.scenarios.storm import StormConfig, storm_bodies
+
+    def run():
+        graphs = [rgnos_graph(v, ccr, par,
+                              seed=derive_rng(53, "grid", v, ccr, par))
+                  for v in (50, 100, 150) for ccr in (0.1, 1.0, 10.0)
+                  for par in (1, 3, 5)]
+        return graphs, storm_bodies(StormConfig(templates=3, seed=53))
+
+    graphs, bodies = benchmark(run)
+    assert len(graphs) == 27 and len(bodies) == 3
+
+
+def test_smoke_validate_400(benchmark):
+    """``validate`` on a 400-node, 13.6k-edge clique schedule.
+
+    The array proof's case: a valid schedule returns without the
+    per-task iterator, which took 33x as long (min 7.6 ms against
+    0.23 ms, same host).
+    """
+    graph = rgnos_graph(400, 1.0, 3, seed=1)
+    schedule = api.schedule(graph, Machine(8),
+                            "param:prio=blevel,proc=est", validate=False)
+    benchmark(validate, schedule)
+    assert validate(schedule, collect=True) == []

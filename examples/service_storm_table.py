@@ -7,15 +7,19 @@ mcp/dls/param specs, Zipf-1.1 popularity) is replayed against a
 self-hosted in-process server, once per worker setting, and the
 report's RPS / latency / cold-vs-warm numbers are printed per run.
 
-Latency and RPS are machine-dependent; the request mix, cold/warm
-split per seed, and the shape of the speedup are not.
+Latency and RPS are machine-dependent, and so is the cold/warm
+split: a repeat of a template that arrives while the template is still
+being scheduled waits on that schedule (it is coalesced) and counts as
+cold, so the cold count depends on timing.  What the seed fixes is the
+request mix, so the script also prints how many distinct templates the
+storm requests: the number of schedules a cold server computes.
 
 Run with::
 
     PYTHONPATH=src python examples/service_storm_table.py
 """
 
-from repro.scenarios.storm import StormConfig
+from repro.scenarios.storm import StormConfig, make_storm
 from repro.service import run_loadtest
 
 
@@ -38,7 +42,9 @@ def main() -> None:
             f"{r.speedup:.1f}x",
             f"{r.warm_hit_ratio:.2f}",
         ]) + " |")
-    print(f"\nstorm: `{config.fingerprint()}`")
+    distinct = len({request.template for request in make_storm(config)})
+    print(f"\nstorm: `{config.fingerprint()}`; {distinct} distinct "
+          f"templates requested")
 
 
 if __name__ == "__main__":

@@ -83,19 +83,33 @@ class TaskGraph:
         edges: Mapping[Edge, float] | Iterable[Tuple[int, int, float]],
         name: str = "taskgraph",
     ):
-        w = np.asarray(list(weights), dtype=np.float64)
-        if w.ndim != 1 or w.size == 0:
-            raise GraphError("a task graph needs at least one node")
-        if np.any(w <= 0):
-            raise GraphError("computation costs must be positive")
-        n = int(w.size)
-
+        w = _checked_weights(np.asarray(list(weights), dtype=np.float64))
         if isinstance(edges, Mapping):
             items: Sequence[Any] = [(u, v, c) for (u, v), c in edges.items()]
         else:
             items = edges if isinstance(edges, list) else list(edges)
-        src, dst, cost, failure = _edge_columns(items, n)
-        csr = _validated_csr(n, src, dst, cost, items)
+        src, dst, cost, failure = _edge_columns(items, int(w.size))
+        self._build(w, src, dst, cost, items, name, failure)
+
+    @classmethod
+    def _from_columns(cls, weights: np.ndarray, src: np.ndarray,
+                      dst: np.ndarray, cost: np.ndarray,
+                      name: str) -> "TaskGraph":
+        """A graph from int64 source, int64 target and float64 cost columns.
+
+        The generators' input form: the columns take the same checks as
+        the constructor's, without building a tuple per edge.
+        """
+        graph = cls.__new__(cls)
+        graph._build(_checked_weights(weights.astype(np.float64)),
+                     src, dst, cost, None, name)
+        return graph
+
+    def _build(self, w: np.ndarray, src: np.ndarray, dst: np.ndarray,
+               cost: np.ndarray, items: Sequence[Any] | None, name: str,
+               failure: Exception | None = None) -> None:
+        """Check the edge columns, adopt them and order the nodes."""
+        csr = _validated_csr(int(w.size), src, dst, cost, items)
         if failure is not None:
             raise failure
         # Summed in input order, exactly as the edge dict it replaces.
@@ -428,6 +442,14 @@ class TaskGraph:
         )
 
 
+def _checked_weights(w: np.ndarray) -> np.ndarray:
+    if w.ndim != 1 or w.size == 0:
+        raise GraphError("a task graph needs at least one node")
+    if np.any(w <= 0):
+        raise GraphError("computation costs must be positive")
+    return w
+
+
 def _rows(indptr: np.ndarray, values: np.ndarray) -> List[List[Any]]:
     """The rows of one CSR array as Python lists."""
     ptr = indptr.tolist()
@@ -482,7 +504,7 @@ def _edge_columns(items: Sequence[Any], n: int
 
 
 def _validated_csr(n: int, src: np.ndarray, dst: np.ndarray,
-                   cost: np.ndarray, items: Sequence[Any]) -> _CSR:
+                   cost: np.ndarray, items: Sequence[Any] | None) -> _CSR:
     """Check the edges and compress them into succ and pred CSR arrays.
 
     The checks run as array operations but raise exactly what a
@@ -491,7 +513,8 @@ def _validated_csr(n: int, src: np.ndarray, dst: np.ndarray,
     and duplicate (a repeat of an earlier ``(u, v)``, found by a
     stable sort on ``u * n + v``).  Returns ``(succ indptr, succ
     indices, succ costs, pred indptr, pred indices, pred costs)``;
-    rows ascend by neighbour.
+    rows ascend by neighbour.  Without ``items`` (unclipped columns)
+    the messages name the columns' own ids.
     """
     e = src.size
     known = (src >= 0) & (src < n) & (dst >= 0) & (dst < n)
@@ -505,7 +528,8 @@ def _validated_csr(n: int, src: np.ndarray, dst: np.ndarray,
     bad = ~known | loop | negative | dup
     if bad.any():
         i = int(np.argmax(bad))
-        u, v = int(items[i][0]), int(items[i][1])
+        u, v = ((int(items[i][0]), int(items[i][1])) if items is not None
+                else (int(src[i]), int(dst[i])))
         if not known[i]:
             raise GraphError(f"edge ({u}, {v}) references unknown node")
         if loop[i]:

@@ -87,9 +87,9 @@ def _template_bodies(config: StormConfig) -> List[Dict]:
         bodies.append({
             "graph": {
                 "name": graph.name,
-                "weights": [float(w) for w in graph.weights],
-                "edges": [[int(u), int(v), float(c)]
-                          for u, v, c in graph.edges()],
+                # Python floats and ints straight from the arrays.
+                "weights": graph.weights.tolist(),
+                "edges": list(map(list, graph.edges())),
             },
             "machine": {"procs": config.procs},
             "spec": spec,
