@@ -52,6 +52,12 @@ class PriorityState:
         """Larger-is-better priority scalar (feeds ETF/DLS selectors)."""
         raise NotImplementedError
 
+    def values(self, nodes: np.ndarray) -> np.ndarray:
+        """:meth:`value` of each of ``nodes``, as a float64 array."""
+        value = self.value
+        return np.array([value(node) for node in nodes.tolist()],
+                        dtype=np.float64)
+
     def on_scheduled(self, node: int) -> None:
         """Hook called once per placement; static rules ignore it."""
 
@@ -59,16 +65,20 @@ class PriorityState:
 class _StaticState(PriorityState):
     """Ranking frozen at start-up: one float per node, larger first."""
 
-    __slots__ = ("_value",)
+    __slots__ = ("_value", "_array")
 
     def __init__(self, values: List[float]):
         self._value = values
+        self._array = np.asarray(values, dtype=np.float64)
 
     def key(self, node: int) -> Tuple[float, int]:
         return (-self._value[node], node)
 
     def value(self, node: int) -> float:
         return self._value[node]
+
+    def values(self, nodes: np.ndarray) -> np.ndarray:
+        return self._array[nodes]
 
 
 class _DnodeState(PriorityState):

@@ -15,24 +15,29 @@ A :class:`ProcSelector` is a stateless, shared description;
 :meth:`ProcSelector.start` returns the per-run :class:`SelectorState`,
 which probes start times through the run's
 :class:`~repro.core.listsched.StartOracle`.
-The coupled state is incremental.  A ready node's parents are final, so
-its arrival profile is built once, when the node is released, and the
-state caches one start time per (ready node, candidate processor).  It
-holds while the oracle's revision of its processor does (on a clique:
-no placement there since — by the loop, the ``hole`` filler or an
-online replan's pins; on a network: no message booked either), so a
-step re-probes only the columns whose revision moved since the last
-step — plus a new column when the shortlist gains a
-processor and a new row per released node.  Each row keeps its best
-pair, re-derived from its cached row only when that pair got worse or
-the node's priority value moved, so a step costs O(ready × edited
-processors) slot probes plus an O(ready) choice across nodes, in
-O(ready × p) memory.  Remaining ties break on node, then processor id.
+The coupled state is one array of (ready node × candidate processor)
+start times, kept current.  A ready node's parents are final, so its
+arrival profile is built once, when the node is released, and gives it
+one row.  A cell holds while the oracle's revision of its processor
+does (on a clique: no placement there since — by the loop, the
+``hole`` filler or an online replan's pins; on a network: no message
+booked either), so a step re-reads only the columns whose revision
+moved, plus a new column when the shortlist gains a processor.
+Append-only on a clique, a node's data-ready row is fixed at release
+and its starts are ``max(data-ready row, processor ready times)``, one
+vector operation; slot search and networks probe the moved columns
+cell by cell.  The priority values are read as an array every step,
+and one argmin over the array picks the least ``(est - shift, tie,
+node, proc)`` key.  A step costs O(ready × moved columns) probes and
+O(ready × columns) vector work, in O(ready × columns) memory.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+import bisect
+from typing import Callable, Dict, List, Optional, Tuple, Union
+
+import numpy as np
 
 from ...check import sanitize as _sanitize
 from ...core.listsched import (
@@ -49,9 +54,11 @@ __all__ = ["ProcSelector", "SelectorState", "PROC_SELECTORS"]
 
 #: Decoupled choice for one node: ``(oracle, node, slot) -> (proc, start)``.
 Choose = Callable[[StartOracle, int, bool], Tuple[int, float]]
-#: Coupled pair rank: ``value -> (shift, tie)``.  A pair's key is
-#: ``(est - shift, tie, node, proc)``, smallest first.
-Rank = Callable[[float], Tuple[float, float]]
+#: A priority value, or an array of them.
+Values = Union[float, np.ndarray]
+#: Coupled pair rank: ``value -> (shift, tie)``, elementwise on arrays.
+#: A pair's key is ``(est - shift, tie, node, proc)``, smallest first.
+Rank = Callable[[Values], Tuple[Values, Values]]
 
 
 class SelectorState:
@@ -108,13 +115,13 @@ class _PopState(SelectorState):
         return node, proc, start
 
 
-def _etf_rank(value: float) -> Tuple[float, float]:
+def _etf_rank(value: Values) -> Tuple[Values, Values]:
     """ETF: key ``(est, -value, node, proc)`` — earliest start first,
     the larger priority value on ties."""
     return 0.0, -value
 
 
-def _dls_rank(value: float) -> Tuple[float, float]:
+def _dls_rank(value: Values) -> Tuple[Values, Values]:
     """DLS: key ``(est - value, 0, node, proc)`` — the largest dynamic
     level first.
 
@@ -126,41 +133,24 @@ def _dls_rank(value: float) -> Tuple[float, float]:
     return value, 0.0
 
 
-class _Row:
-    """One ready node's slice of the pair scan.
-
-    ``ests[c]`` is the node's start time on column ``c``'s processor;
-    ``key`` is the node's best pair key, found in column ``col``, under
-    the ``shift``/``tie`` its priority ``value`` ranks with.
-    """
-
-    __slots__ = ("node", "drt", "dur", "ests", "value", "shift",
-                 "tie", "key", "col")
-
-    def __init__(self, node: int, drt: Callable[[int], float],
-                 dur: Optional[float]):
-        self.node = node
-        self.drt = drt
-        self.dur = dur  # None: the duration depends on the processor
-        self.ests: List[float] = []
-        self.value = 0.0
-        self.shift = 0.0
-        self.tie = 0.0
-        self.key: Tuple[float, float, int, int] = (0.0, 0.0, node, -1)
-        self.col = -1
-
-
 class _PairScan(SelectorState):
-    """The coupled (ready node × candidate processor) scan, kept current.
+    """The coupled (ready node × candidate processor) scan, as one array.
 
-    Columns are the oracle's candidate processors in the order they
-    joined the shortlist; the shortlist only grows while the loop
-    places nodes, so it is re-read only when the number of used
-    processors changes.
+    Row ``r`` is ready node ``_nodes[r]``; column ``c`` is candidate
+    processor ``_procs[c]``, in ascending id.  The shortlist only grows
+    while the loop places nodes, so it is re-read only when the number
+    of used processors changes.  The node's start on the processor is
+    ``max(_cells[r, c], _floor[c])``: append-only on a clique, the
+    cells are the node's data-ready times, final at its release, and
+    the floor is the processor's ready time; otherwise (slot search, or
+    a network booking messages) the cells are the probed start times
+    and the floor is ``-inf``.
     """
 
     __slots__ = ("_oracle", "_schedule", "_ready", "_prio", "_slot",
-                 "_rank", "_procs", "_seen", "_used", "_rows")
+                 "_rank", "_append", "_procs", "_seen", "_used",
+                 "_released", "_live", "_nodes", "_probes", "_cells",
+                 "_floor")
 
     def __init__(self, oracle: StartOracle, ready: ReadyTracker,
                  prio: PriorityState, slot: bool, rank: Rank):
@@ -170,124 +160,133 @@ class _PairScan(SelectorState):
         self._prio = prio
         self._slot = slot
         self._rank = rank
+        # Append-only (insert=off|hole) on a clique: starts are
+        # max(data-ready time, processor ready time), vectorised.
+        self._append = not slot and not oracle.books_messages
         self._procs: List[int] = []  # column -> processor id
         self._seen: List[object] = []  # column -> revision last probed
         self._used = -1              # processors_used() at the last sync
-        self._rows: Dict[int, _Row] = {}
+        self._released = 0           # ready.released_since mark
+        self._live = ready.ready_mask()
+        self._nodes = np.empty(0, dtype=np.int64)  # row -> node
+        # node -> (data-ready times by processor, duration or None
+        # when it depends on the processor)
+        self._probes: Dict[int, Tuple[Callable[[int], float],
+                                      Optional[float]]] = {}
+        self._cells = np.empty((0, 0))
+        self._floor = np.empty(0)
 
     def pick(self, pool: ReadyPool) -> Tuple[int, int, float]:
-        changed = self._changed_columns()
-        value_of = self._prio.value
-        old = self._rows
-        rows: Dict[int, _Row] = {}
-        best: Optional[_Row] = None
-        for node in self._ready.iter_ready():
-            # Re-read every step: a dynamic rule (dnode) may move it.
-            value = value_of(node)
-            row = old.get(node)
-            if row is None:
-                row = self._new_row(node, value)
-            elif value != row.value:
-                self._probe_columns(row, changed)
-                self._rank_row(row, value)
-            elif changed:
-                self._refresh(row, changed)
-            rows[node] = row
-            if best is None or row.key < best.key:
-                best = row
-        # Rows of nodes placed since the last step are dropped here.
-        self._rows = rows
-        assert best is not None, "pick() called with no ready node"
-        node, proc, est = best.node, best.key[3], best.ests[best.col]
+        self._drop_placed()
+        self._probe(self._changed_columns())
+        self._add_released()
+        # Re-read every step: a dynamic rule (dnode) may move them.
+        nodes = self._nodes
+        shift, tie = self._rank(self._prio.values(nodes))
+        if isinstance(shift, np.ndarray):
+            shift = shift[:, None]
+        starts = np.maximum(self._cells, self._floor)
+        lead = starts - shift
+        # Rows in (tie, node) order and columns in processor order make
+        # the first minimum the least (lead, tie, node, proc) key.
+        order = np.lexsort((nodes, tie)) if isinstance(tie, np.ndarray) \
+            else nodes.argsort()
+        row, col = divmod(int(lead[order].argmin()), len(self._procs))
+        row = int(order[row])
+        node, proc = int(nodes[row]), self._procs[col]
+        est = float(starts[row, col])
         if _sanitize.enabled():
             self._check(node, proc, est)
         return node, proc, est
+
+    def _drop_placed(self) -> None:
+        """Drop the rows of nodes placed since the last step."""
+        nodes = self._nodes
+        keep = self._live[nodes].view(bool)
+        if np.count_nonzero(keep) == len(nodes):
+            return
+        for node in nodes[~keep].tolist():
+            del self._probes[node]
+        self._nodes = nodes[keep]
+        self._cells = self._cells[keep]
 
     def _changed_columns(self) -> List[int]:
         """Columns whose revision moved since they were last probed.
 
         A column joining the shortlist counts as changed (never probed).
         """
-        oracle = self._oracle
+        oracle, procs = self._oracle, self._procs
         used = self._schedule.processors_used()
         if used != self._used:
             self._used = used
-            known = set(self._procs)
             for proc in oracle.procs():
-                if proc not in known:
-                    self._procs.append(proc)
-                    self._seen.append(None)
-        seen = self._seen
-        revision = oracle.revision
-        changed = []
-        for c, proc in enumerate(self._procs):
-            rev = revision(proc)
-            if rev != seen[c]:
-                seen[c] = rev
-                changed.append(c)
-        return changed
+                c = bisect.bisect_left(procs, proc)
+                if c == len(procs) or procs[c] != proc:
+                    self._add_column(c, proc)
+        seen, self._seen = self._seen, list(oracle.revisions(procs))
+        return [c for c, (old, rev) in enumerate(zip(seen, self._seen))
+                if old != rev]
 
-    def _probe_columns(self, row: _Row, cols: List[int]) -> None:
-        """Re-probe ``row``'s start time on each column in ``cols``."""
+    def _add_column(self, c: int, proc: int) -> None:
+        self._procs.insert(c, proc)
+        self._seen.insert(c, None)
+        cells, floor, probes = self._cells, self._floor, self._probes
+        grown = np.zeros((len(cells), len(floor) + 1))
+        grown[:, :c], grown[:, c + 1:] = cells[:, :c], cells[:, c:]
+        if self._append:  # otherwise probed with the changed columns
+            grown[:, c] = [probes[node][0](proc)
+                           for node in self._nodes.tolist()]
+        self._cells = grown
+        self._floor = np.concatenate((floor[:c], [-np.inf], floor[c:]))
+
+    def _probe(self, cols: List[int]) -> None:
+        """Bring the columns ``cols`` up to date on every row."""
         schedule, procs = self._schedule, self._procs
-        ests = row.ests
-        if len(ests) < len(procs):
-            ests.extend([0.0] * (len(procs) - len(ests)))  # new: in cols
-        drt, slot_of, slot = row.drt, schedule.earliest_slot, \
-            self._slot
-        for c in cols:
-            proc = procs[c]
-            dur = row.dur if row.dur is not None \
-                else schedule.duration_of(row.node, proc)
-            ests[c] = slot_of(proc, drt(proc), dur, insertion=slot)
+        if self._append:
+            floor = self._floor
+            for c in cols:
+                floor[c] = schedule.proc_ready_time(procs[c])
+            return
+        nodes = self._nodes.tolist()
+        if cols and nodes:
+            probes, starts = self._probes, self._starts
+            moved = [procs[c] for c in cols]
+            self._cells[:, cols] = [starts(node, *probes[node], moved)
+                                    for node in nodes]
 
-    def _new_row(self, node: int, value: float) -> _Row:
-        schedule = self._schedule
-        dur = schedule.duration_of(node, 0) if schedule.speeds is None \
-            else None
-        row = _Row(node, self._oracle.drt_of(node), dur)
-        self._probe_columns(row, list(range(len(self._procs))))
-        self._rank_row(row, value)
-        return row
+    def _starts(self, node: int, drt: Callable[[int], float],
+                dur: Optional[float], procs: List[int]) -> List[float]:
+        """``node``'s start times on ``procs``, probed one by one."""
+        schedule, slot = self._schedule, self._slot
+        slot_of, duration_of = schedule.earliest_slot, schedule.duration_of
+        return [slot_of(proc, drt(proc), duration_of(node, proc)
+                        if dur is None else dur, insertion=slot)
+                for proc in procs]
 
-    def _rank_row(self, row: _Row, value: float) -> None:
-        """Rank ``row`` at ``value`` and find its best pair from scratch."""
-        row.value = value
-        row.shift, row.tie = self._rank(value)
-        self._argmin(row)
-
-    def _argmin(self, row: _Row) -> None:
-        shift = row.shift
-        lead, proc, col = min(zip([est - shift for est in row.ests],
-                                  self._procs, range(len(row.ests))))
-        row.key = (lead, row.tie, row.node, proc)
-        row.col = col
-
-    def _refresh(self, row: _Row, changed: List[int]) -> None:
-        """Re-probe ``changed`` columns and restore ``row``'s best pair."""
-        self._probe_columns(row, changed)
-        ests, procs, shift = row.ests, self._procs, row.shift
-        col = row.col
-        lead, proc = row.key[0], row.key[3]
-        if col in changed:
-            moved = ests[col] - shift
-            if moved > lead:
-                # The best pair got worse: any column may now win.
-                self._argmin(row)
-                return
-            lead = moved
-        for c in changed:
-            if c != col and (ests[c] - shift, procs[c]) < (lead, proc):
-                lead, proc, col = ests[c] - shift, procs[c], c
-        row.key = (lead, row.tie, row.node, proc)
-        row.col = col
+    def _add_released(self) -> None:
+        """Add one row per node released since the last step."""
+        fresh, self._released = self._ready.released_since(self._released)
+        if not fresh:
+            return
+        schedule, procs, probes = self._schedule, self._procs, \
+            self._probes
+        rows: List[List[float]] = []
+        for node in fresh:
+            drt = self._oracle.drt_of(node)
+            dur = schedule.duration_of(node, 0) \
+                if schedule.speeds is None else None
+            probes[node] = (drt, dur)
+            rows.append([drt(proc) for proc in procs] if self._append
+                        else self._starts(node, drt, dur, procs))
+        self._nodes = np.concatenate((self._nodes, fresh))
+        self._cells = np.concatenate((self._cells, rows))
 
     def _check(self, node: int, proc: int, est: float) -> None:
         """Sanitizer oracle: a full rescan must pick the same pair."""
         oracle, slot = self._oracle, self._slot
         want: Optional[Tuple[float, float, int, int]] = None
         for cand in self._ready.iter_ready():
-            shift, tie = self._rank(self._prio.value(cand))
+            shift, tie = map(float, self._rank(self._prio.value(cand)))
             for p in oracle.procs():
                 key = (est_on_proc(oracle, cand, p, slot) - shift, tie,
                        cand, p)

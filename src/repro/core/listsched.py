@@ -18,7 +18,9 @@ processor.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Tuple
+from typing import Callable, Iterator, List, Sequence, Tuple
+
+import numpy as np
 
 from .graph import TaskGraph
 from .kernel import LazyPriorityQueue
@@ -80,6 +82,21 @@ class ReadyTracker:
 
     def is_ready(self, node: int) -> bool:
         return bool(self._in_ready[node])
+
+    def ready_mask(self) -> np.ndarray:
+        """Read-only live view of the ready flags: one uint8 per node."""
+        mask = np.frombuffer(self._in_ready, dtype=np.uint8)
+        mask.flags.writeable = False
+        return mask
+
+    def released_since(self, mark: int) -> Tuple[List[int], int]:
+        """Ready nodes released since ``mark``, and the mark for next time.
+
+        Marks count releases, so ``released_since(0)`` lists the whole
+        ready set in becoming-ready order.
+        """
+        order, flags = self._ready_order, self._in_ready
+        return [node for node in order[mark:] if flags[node]], len(order)
 
     def mark_scheduled(self, node: int) -> List[int]:
         """Remove ``node`` from the ready set; return newly-ready children."""
@@ -158,7 +175,8 @@ class StartOracle:
     :meth:`procs` names the processors worth probing, :meth:`drt_of` a
     ready node's data-ready time per processor, :meth:`drt` one from
     scratch; a probed start holds while :meth:`revision` of its
-    processor does; :meth:`commit` places a node and returns its start.
+    processor does (:meth:`revisions` reads several at once);
+    :meth:`commit` places a node and returns its start.
     ``books_messages`` marks an oracle whose commits book messages.
     """
 
@@ -177,6 +195,10 @@ class StartOracle:
 
     def revision(self, proc: int) -> object:
         return self.schedule.revision(proc)
+
+    def revisions(self, procs: Sequence[int]) -> Sequence[object]:
+        """:meth:`revision` of each of ``procs``."""
+        return self.schedule.revisions(procs)
 
     def drt(self, node: int, proc: int) -> float:
         return self.schedule.data_ready_time(node, proc)

@@ -191,6 +191,10 @@ class Schedule:
         """
         return self._revision[proc]
 
+    def revisions(self, procs: Sequence[int]) -> List[int]:
+        """:meth:`revision` of each of ``procs``."""
+        return list(map(self._revision.__getitem__, procs))
+
     # ------------------------------------------------------------------
     # slot search
     # ------------------------------------------------------------------
@@ -237,6 +241,8 @@ class Schedule:
         mismatch between placed durations and the machine model unless
         told the schedule is a simulated timeline.
         """
+        if not (0 <= node < self.graph.num_nodes):
+            raise ScheduleError(f"node {node} out of range")
         if node in self._placements:
             raise ScheduleError(f"node {node} already scheduled")
         if not (0 <= proc < self.num_procs):

@@ -21,7 +21,7 @@ loop's start-time oracle on a network from them.
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.exceptions import ScheduleError
 from ..core.listsched import StartOracle
@@ -231,6 +231,10 @@ class LinkOracle(StartOracle):
 
     def revision(self, proc: int) -> object:
         return (self.schedule.revision(proc), self.links.revision)
+
+    def revisions(self, procs: Sequence[int]) -> Sequence[object]:
+        revision = self.revision
+        return [revision(proc) for proc in procs]
 
     def drt(self, node: int, proc: int) -> float:
         return self.drt_of(node)(proc)

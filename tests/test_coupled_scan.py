@@ -12,12 +12,13 @@ selectors must reproduce their placements exactly:
    heterogeneous and a virtually unlimited machine;
 2. under ``insert=on|hole`` and the dynamic ``prio=dnode`` rule;
 3. through ``online:dls,imode=mean`` replans, which pin history first;
-4. on random graphs and machines (Hypothesis);
+4. on random graphs and machines, and on tie-heavy integer ones
+   (Hypothesis);
 5. with two threads scheduling at once (the selectors are shared).
 
 The sanitizer oracle is checked too: with ``REPRO_SANITIZE`` armed, a
 scan that stops re-probing edited processors is caught at the step it
-goes wrong.
+goes wrong.  The scan's rows are the ready nodes, never the graph.
 """
 
 import sys
@@ -268,6 +269,58 @@ def test_rounded_dls_levels_match_reference(graph, insert, procs):
                  Machine(procs))
 
 
+def _tie_heavy_graphs():
+    """Graphs whose start times, levels and priorities tie a lot."""
+    return st.one_of(
+        task_graphs(min_nodes=2, max_nodes=20, max_weight=2, max_comm=2,
+                    edge_prob=0.5),
+        task_graphs(min_nodes=2, max_nodes=20, max_weight=2, max_comm=1,
+                    edge_prob=0.1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph=_tie_heavy_graphs(),
+       proc=st.sampled_from(["etf", "dls"]),
+       prio=st.sampled_from(["slevel", "blevel", "dnode"]),
+       insert=st.sampled_from(["off", "on", "hole"]),
+       procs=st.sampled_from([1, 2, 3, "v", "pairs"]))
+def test_tie_heavy_graphs_match_reference(graph, proc, prio, insert,
+                                          procs):
+    # Integer weights and costs make whole rows and columns of equal
+    # keys, so every pick leans on the (lead, tie, node, proc) order.
+    # Repeated speeds let an idle processor join the shortlist below
+    # used ones, so columns do not arrive in processor order.
+    if procs == "v":
+        machine = Machine(graph.num_nodes)
+    elif procs == "pairs":
+        machine = Machine(4, speeds=[1.0, 1.0, 2.0, 2.0])
+    else:
+        machine = Machine(procs)
+    _assert_same(f"param:prio={prio},proc={proc},insert={insert}",
+                 graph, machine)
+
+
+@pytest.mark.parametrize("spec", ["param:prio=slevel,proc=dls",
+                                  "param:prio=slevel,proc=etf,insert=on"])
+def test_scan_rows_are_the_ready_nodes(spec, monkeypatch):
+    # One row per ready node, never one per graph node: Machine(v)
+    # runs on graphs of a thousand nodes and more.
+    graph = rgnos_graph(150, 1.0, 5, seed=53)
+    steps = []
+    real = _PairScan.pick
+
+    def pick(self, pool):
+        picked = real(self, pool)
+        ready = sorted(self._ready.iter_ready())
+        steps.append(sorted(self._nodes.tolist()) == ready
+                     and self._cells.shape == (len(ready), len(self._procs)))
+        return picked
+
+    monkeypatch.setattr(_PairScan, "pick", pick)
+    _run(spec, graph, Machine(graph.num_nodes), reference=False)
+    assert len(steps) == graph.num_nodes and all(steps)
+
+
 # ----------------------------------------------------------------------
 # 5. shared selectors, concurrent runs
 # ----------------------------------------------------------------------
@@ -300,14 +353,29 @@ def test_concurrent_dls_runs_equal_serial_runs():
 # ----------------------------------------------------------------------
 # the sanitizer oracle
 # ----------------------------------------------------------------------
-def test_sanitizer_catches_a_stale_scan(monkeypatch):
-    """A scan that forgets to re-probe edited processors is caught."""
+def _assert_a_stale_scan_is_caught(spec, monkeypatch):
     graph = rgnos_graph(40, 1.0, 3, seed=53)
     monkeypatch.setenv(sanitize.ENV_VAR, "1")
-    get_scheduler("DLS").schedule(graph, Machine(4))  # the oracle agrees
+    get_scheduler(spec).schedule(graph, Machine(4))  # the oracle agrees
     real = _PairScan._changed_columns
     # Probe the first step's columns, then never notice an edit again.
     monkeypatch.setattr(_PairScan, "_changed_columns",
                         lambda self: real(self) if not self._procs else [])
     with pytest.raises(SanitizeError, match="incremental pair scan"):
-        get_scheduler("DLS").schedule(graph, Machine(4))
+        get_scheduler(spec).schedule(graph, Machine(4))
+
+
+def test_sanitizer_catches_a_stale_scan(monkeypatch):
+    """A scan that stops seeing processors' edits is caught.
+
+    ``_changed_columns`` is the scan's invalidation hook: it names the
+    columns whose processor moved.  Blinded, the append-only clique
+    scan (DLS) keeps stale processor ready times.
+    """
+    _assert_a_stale_scan_is_caught("DLS", monkeypatch)
+
+
+def test_sanitizer_catches_a_stale_slot_search_scan(monkeypatch):
+    """The same blindness under slot search keeps stale probed starts."""
+    _assert_a_stale_scan_is_caught("param:prio=slevel,proc=etf,insert=on",
+                                   monkeypatch)

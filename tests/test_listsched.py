@@ -75,6 +75,24 @@ class TestReadyTracker:
         rt.mark_scheduled(0)
         assert set(rt.iter_ready()) == rt.ready == {1, 2}
 
+    def test_released_since_skips_placed_nodes(self, diamond):
+        rt = ReadyTracker(diamond)
+        assert rt.released_since(0) == ([0], 1)
+        rt.mark_scheduled(0)
+        assert rt.released_since(1) == ([1, 2], 3)
+        rt.mark_scheduled(2)
+        assert rt.released_since(1) == ([1], 3)
+        assert rt.released_since(3) == ([], 3)
+
+    def test_ready_mask_is_a_live_read_only_view(self, diamond):
+        rt = ReadyTracker(diamond)
+        mask = rt.ready_mask()
+        assert mask.tolist() == [1, 0, 0, 0]
+        rt.mark_scheduled(0)
+        assert mask.tolist() == [0, 1, 1, 0]
+        with pytest.raises(ValueError):
+            mask[0] = 1
+
 
 class TestCandidateProcs:
     def test_empty_schedule_single_candidate(self, diamond):

@@ -32,6 +32,19 @@ class TestPlacement:
         with pytest.raises(ScheduleError):
             s.place(0, 2, 0.0)
 
+    @pytest.mark.parametrize("node", [-1, 3])
+    @pytest.mark.parametrize("duration", [None, 1.0])
+    def test_bad_node_rejected_before_any_change(self, g3, node, duration):
+        s = Schedule(g3, 2)
+        with pytest.raises(ScheduleError, match="out of range"):
+            s.place(node, 0, 0.0, duration=duration)
+        assert s.num_scheduled == 0 and s.processors_used() == 0
+        assert s.revision(0) == 0 and s.tasks_on(0) == []
+        s.place(0, 0, 0.0)
+        s.place(1, 0, 2.0)
+        assert not s.is_complete()
+        assert validate(s, collect=True)[0].code == "incomplete"
+
     def test_negative_start_rejected(self, g3):
         s = Schedule(g3, 2)
         with pytest.raises(ScheduleError):
