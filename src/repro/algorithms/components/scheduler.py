@@ -179,9 +179,13 @@ def _fill_hole(oracle: StartOracle, ready: ReadyTracker, pool: ReadyPool,
     while gap_end - gap_begin > 1e-12:
         placed_any = False
         for cand in sorted(ready.iter_ready(), key=prio.key):
+            cand_dur = schedule.duration_of(cand, proc)
+            # The start is at least gap_begin, so a node too long for
+            # the whole window is skipped before its data-ready time.
+            if gap_begin + cand_dur > gap_end + 1e-9:
+                continue
             drt = oracle.drt(cand, proc)
             cand_start = max(gap_begin, drt)
-            cand_dur = schedule.duration_of(cand, proc)
             if cand_start + cand_dur > gap_end + 1e-9:
                 continue
             _, elsewhere = best_proc_min_est(oracle, cand,

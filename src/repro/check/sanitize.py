@@ -22,9 +22,10 @@ into :mod:`repro.core.graph`, :mod:`repro.core.kernel`,
 
 The hooks are deliberately cheap enough that the full golden
 differential corpus runs under the sanitizer in CI; when disarmed they
-cost one environment lookup per entry point.  A failed check raises
-:class:`SanitizeError` — it means *harness memory was corrupted*, not
-that an input was invalid, so it is never caught by the layers above.
+cost one dict probe of the environment per entry point.  A failed check
+raises :class:`SanitizeError` — it means *harness memory was
+corrupted*, not that an input was invalid, so it is never caught by the
+layers above.
 
 This module must stay import-light (stdlib only): the core modules
 consult it from their hot paths.
@@ -45,13 +46,24 @@ class SanitizeError(RuntimeError):
     """A harness invariant was violated at runtime (memory corruption)."""
 
 
+# The live environment's encoded dict, probed with a pre-encoded key:
+# ``os.environ`` writes every set and delete through to it, and the
+# probe skips the mapping layer's encode and decode calls.
+_ENVIRON = os.environ._data  # type: ignore[attr-defined]
+_ENV_KEY = os.environ.encodekey(ENV_VAR)
+#: Values that leave it disarmed: unset, "" and "0".
+_OFF = (None, os.environ.encodevalue(""), os.environ.encodevalue("0"))
+
+
 def enabled() -> bool:
     """True when the sanitizer is armed for this process.
 
-    Read from the environment on every call so tests (and long-lived
-    processes) can toggle it; the lookup is a single dict probe.
+    Read from the environment on every call, so tests (and long-lived
+    processes) can toggle it with ``setenv``/``delenv`` and forked
+    workers inherit it; the read is a single dict probe of the
+    environment's encoded mapping.
     """
-    return os.environ.get(ENV_VAR, "") not in ("", "0")
+    return _ENVIRON.get(_ENV_KEY) not in _OFF
 
 
 def require(condition: bool, message: str) -> None:

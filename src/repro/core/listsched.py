@@ -18,10 +18,11 @@ processor.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Sequence, Tuple
+from typing import Callable, Container, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
+from ..check import sanitize as _sanitize
 from .graph import TaskGraph
 from .kernel import LazyPriorityQueue
 from .schedule import Schedule
@@ -131,40 +132,50 @@ class ReadyTracker:
 
 
 def candidate_procs(schedule: Schedule) -> List[int]:
-    """Processors worth examining in the clique model.
+    """Processors worth examining in the clique model (a fresh list).
 
     Identical empty processors are interchangeable — a node's EST is the
     same on every one of them — so it suffices to examine the used
     processors plus the first empty one.  This keeps the paper's
     "virtually unlimited number of processors" BNP runs (Section 6.4.2)
     at ``O(used)`` instead of ``O(p)`` per decision without changing any
-    scheduling outcome.
+    scheduling outcome.  The ids come in ascending order, which the
+    lowest-id tie-breaking of every scan relies on.
 
     Under the heterogeneous speed model empty processors are *not*
     interchangeable, so the shortlist instead adds the first idle
     processor of each distinct speed.
     """
+    return list(_shortlist(schedule))
+
+
+def _shortlist(schedule: Schedule) -> Sequence[int]:
+    """:func:`candidate_procs`, without a copy where it can be a range.
+
+    The schedule keeps its first empty processor current, and every id
+    below it is used; in the usual case (no used id above it) the
+    shortlist is ``range(first empty + 1)``.
+    """
+    num_procs = schedule.num_procs
+    empty = schedule.first_empty_proc()
+    if schedule.speeds is None:
+        if schedule.processors_used() == empty:
+            return range(min(empty + 1, num_procs))
+        procs = schedule.used_proc_ids()
+        if empty < num_procs:
+            procs.insert(empty, empty)
+        return procs
     procs = schedule.used_proc_ids()
-    if len(procs) < schedule.num_procs:
-        if schedule.speeds is None:
-            # ``procs`` is ascending, so the first empty processor is
-            # the first index where the used ids pull ahead.
-            first_empty = len(procs)
-            for i, p in enumerate(procs):
-                if p != i:
-                    first_empty = i
-                    break
-            procs.append(first_empty)
-        else:
-            used = set(procs)
-            seen_speeds = set()
-            for p in range(schedule.num_procs):
-                if p in used:
-                    continue
-                speed = schedule.speeds[p]
-                if speed not in seen_speeds:
-                    seen_speeds.add(speed)
-                    procs.append(p)
+    if len(procs) < num_procs:
+        used = set(procs)
+        seen_speeds = set()
+        for p in range(empty, num_procs):
+            if p in used:
+                continue
+            speed = schedule.speeds[p]
+            if speed not in seen_speeds:
+                seen_speeds.add(speed)
+                procs.append(p)
         procs.sort()  # preserve exact lowest-id tie-breaking
     return procs
 
@@ -173,11 +184,12 @@ class StartOracle:
     """Start times in the clique model, for one component-loop run.
 
     :meth:`procs` names the processors worth probing, :meth:`drt_of` a
-    ready node's data-ready time per processor, :meth:`drt` one from
-    scratch; a probed start holds while :meth:`revision` of its
-    processor does (:meth:`revisions` reads several at once);
-    :meth:`commit` places a node and returns its start.
-    ``books_messages`` marks an oracle whose commits book messages.
+    ready node's data-ready time per processor and :meth:`drt_split`
+    the same, split for a pruned scan, :meth:`drt` one from scratch; a
+    probed start holds while :meth:`revision` of its processor does
+    (:meth:`revisions` reads several at once); :meth:`commit` places a
+    node and returns its start.  ``books_messages`` marks an oracle
+    whose commits book messages.
     """
 
     books_messages = False
@@ -187,11 +199,25 @@ class StartOracle:
     def __init__(self, schedule: Schedule):
         self.schedule = schedule
 
-    def procs(self) -> List[int]:
-        return candidate_procs(self.schedule)
+    def procs(self) -> Sequence[int]:
+        """:func:`candidate_procs`, ascending (read-only)."""
+        return _shortlist(self.schedule)
 
     def drt_of(self, node: int) -> Callable[[int], float]:
         return self.schedule.arrival_profile(node).drt
+
+    def drt_split(self, node: int) -> Tuple[Callable[[int], float],
+                                            Container[int], float]:
+        """``(drt, probed, rest)``: ``node``'s data-ready times, split.
+
+        ``drt`` answers any processor; on a processor not in ``probed``
+        the answer is always ``rest``.  On a clique ``probed`` holds
+        the processors of the node's parents and ``rest`` is the
+        latest remote arrival, the data-ready time everywhere else.
+        One arrival profile per call, like :meth:`drt_of`.
+        """
+        profile = self.schedule.arrival_profile(node)
+        return profile.drt, profile.local, profile.r1
 
     def revision(self, proc: int) -> object:
         return self.schedule.revision(proc)
@@ -222,7 +248,9 @@ def best_proc_min_est(oracle: StartOracle, node: int,
     """Greedy processor choice: minimise the start time of ``node``.
 
     Ties break toward the lowest processor id (deterministic, and keeps
-    the processors-used count honest for Figure 3).
+    the processors-used count honest for Figure 3): the processors are
+    visited in ascending id, and one replaces the best so far only when
+    its start is more than ``1e-12`` earlier.
 
     On a heterogeneous schedule the start alone is a bad criterion — a
     slow processor can offer the earliest start but the latest finish —
@@ -230,20 +258,10 @@ def best_proc_min_est(oracle: StartOracle, node: int,
     related-machines generalisation of list scheduling, cf. HEFT).  On
     the paper's homogeneous machines the duration is the same on every
     processor, so both disciplines pick the same processor and this is
-    exactly min-EST.
+    exactly min-EST.  Both are one pruned scan, :func:`_min_scan`.
     """
-    schedule = oracle.schedule
-    if schedule.speeds is not None:
-        return best_proc_min_eft(oracle, node, insertion)
-    drt = oracle.drt_of(node)
-    duration = schedule.duration_of(node, 0)  # homogeneous: proc-independent
-    best_p, best_t = 0, float("inf")
-    for p in oracle.procs():
-        t = schedule.earliest_slot(p, drt(p), duration,
-                                   insertion=insertion)
-        if t < best_t - 1e-12:
-            best_p, best_t = p, t
-    return best_p, best_t
+    return _min_scan(oracle, node, insertion,
+                     by_finish=oracle.schedule.speeds is not None)
 
 
 def best_proc_min_eft(oracle: StartOracle, node: int,
@@ -254,14 +272,70 @@ def best_proc_min_eft(oracle: StartOracle, node: int,
     heterogeneous speeds a slower processor may offer the earlier start
     but the later finish, so the finish is minimised explicitly.
     """
+    return _min_scan(oracle, node, insertion, by_finish=True)
+
+
+def _min_scan(oracle: StartOracle, node: int, insertion: bool,
+              by_finish: bool) -> Tuple[int, float]:
+    """The processor with the least start (or finish), and the start.
+
+    Exactly the sequential scan over :meth:`StartOracle.procs` in
+    ascending id, where a processor replaces the best so far when its
+    key is below ``best - 1e-12``, but a processor is probed only when
+    it could pass that test.  A start is never below the data-ready
+    time ``d``, nor a finish below ``d + duration`` (float addition is
+    monotone), so a processor whose bound is ``>= best - 1e-12`` is
+    skipped without a slot search: the same float expression as the
+    test, so the skip is exact.  On every processor outside
+    :meth:`StartOracle.drt_split`'s ``probed`` set (on a clique: the
+    ones hosting no parent) ``d`` is the same ``rest`` and is not
+    probed at all.  An append-only start is ``max(d, last finish)``;
+    slot search runs only on processors the bound keeps.  A processor
+    network probes every processor, so there the bound saves slot
+    searches only.
+    """
     schedule = oracle.schedule
-    drt = oracle.drt_of(node)
-    best_p, best_t, best_f = 0, 0.0, float("inf")
+    drt, probed, rest = oracle.drt_split(node)
+    uniform = schedule.speeds is None
+    duration = schedule.duration_of(node, 0) if uniform else 0.0
+    # The key is start + extra: extra is 0.0 (start + 0.0 == start) for
+    # a start key, the duration for a finish key.
+    extra = duration if by_finish else 0.0
+    rest_key = rest + extra
+    finishes = schedule._finishes  # the append-only start reads these
+    best_p, best_t, cut = 0, float("inf"), float("inf")
     for p in oracle.procs():
-        duration = schedule.duration_of(node, p)
-        t = schedule.earliest_slot(p, drt(p), duration,
-                                   insertion=insertion)
-        f = t + duration
-        if f < best_f - 1e-12:
-            best_p, best_t, best_f = p, t, f
+        d = drt(p) if p in probed else rest
+        if not uniform:
+            duration = schedule.duration_of(node, p)
+            if by_finish:
+                extra = duration
+        if d + extra >= cut:
+            continue
+        if insertion:
+            t = schedule.earliest_slot(p, d, duration, insertion=True)
+        else:
+            fins = finishes[p]
+            t = fins[-1] if fins and fins[-1] > d else d
+        if t + extra < cut:
+            best_p, best_t, cut = p, t, t + extra - 1e-12
+    if _sanitize.enabled():
+        _check_min_scan(oracle, node, insertion, by_finish, best_p, best_t)
     return best_p, best_t
+
+
+def _check_min_scan(oracle: StartOracle, node: int, insertion: bool,
+                    by_finish: bool, proc: int, start: float) -> None:
+    """Sanitizer oracle: the unpruned scan, probed from scratch, agrees."""
+    schedule = oracle.schedule
+    want_p, want_t, cut = 0, float("inf"), float("inf")
+    for p in oracle.procs():
+        t = est_on_proc(oracle, node, p, insertion)
+        key = t + schedule.duration_of(node, p) if by_finish else t
+        if key < cut:
+            want_p, want_t, cut = p, t, key - 1e-12
+    _sanitize.require(
+        proc == want_p and abs(start - want_t) <= 1e-9,
+        f"pruned min-{'EFT' if by_finish else 'EST'} scan places node "
+        f"{node} on P{proc} at {start!r} but the full scan picks P{want_p} "
+        f"at {want_t!r}")

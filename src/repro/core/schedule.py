@@ -113,9 +113,11 @@ class Schedule:
         self._node_proc: List[int] = [-1] * n
         self._node_start: List[float] = [0.0] * n
         self._node_finish: List[float] = [0.0] * n
-        # Sorted ids of non-empty processors, maintained incrementally
+        # Sorted ids of non-empty processors and the lowest empty id
+        # (``num_procs`` when none is empty), maintained incrementally
         # so the used-processor shortlist never rescans all timelines.
         self._used: List[int] = []
+        self._first_empty = 0
         # Per processor: how many times its timeline has been edited
         # (place or unplace), so incremental scans can tell which
         # timelines changed since they last probed them.
@@ -181,6 +183,14 @@ class Schedule:
     def used_proc_ids(self) -> List[int]:
         """Ascending ids of non-empty processors (a fresh list)."""
         return list(self._used)
+
+    def first_empty_proc(self) -> int:
+        """Lowest id of an empty processor (``num_procs`` when none is).
+
+        Every id below it is used, so the used ids above it are
+        ``used_proc_ids()[first_empty_proc():]``.
+        """
+        return self._first_empty
 
     def revision(self, proc: int) -> int:
         """Edit count of ``proc``'s timeline; it grows on every change.
@@ -269,6 +279,11 @@ class Schedule:
             )
         if not starts:
             bisect.insort(self._used, proc)
+            if proc == self._first_empty:
+                empty = proc + 1
+                while empty < self.num_procs and self._starts[empty]:
+                    empty += 1
+                self._first_empty = empty
         starts.insert(i, start)
         fins.insert(i, finish)
         nodes.insert(i, node)
@@ -304,6 +319,12 @@ class Schedule:
             f"flat mirrors disagree with placement of node {node}")
         _sanitize.require(proc in self._used,
                           f"P{proc} missing from the used-processor list")
+        used, empty = self._used, self._first_empty
+        _sanitize.require(
+            (empty == len(used) or used[empty] != empty)
+            and (empty == 0 or used[empty - 1] == empty - 1),
+            f"first empty processor P{empty} disagrees with the used "
+            "processors")
 
     def unplace(self, node: int) -> Placement:
         """Remove ``node`` from the schedule (used by migrating schedulers)."""
@@ -316,6 +337,8 @@ class Schedule:
         self._revision[pl.proc] += 1
         if not self._starts[pl.proc]:
             self._used.remove(pl.proc)
+            if pl.proc < self._first_empty:
+                self._first_empty = pl.proc
         self._node_proc[node] = -1
         self._node_start[node] = 0.0
         self._node_finish[node] = 0.0

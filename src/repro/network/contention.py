@@ -21,7 +21,8 @@ loop's start-time oracle on a network from them.
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Container, Dict, List, Optional, Sequence,
+                    Tuple)
 
 from ..core.exceptions import ScheduleError
 from ..core.listsched import StartOracle
@@ -211,8 +212,8 @@ class LinkOracle(StartOracle):
         super().__init__(schedule)
         self.links = LinkSchedule(topology)
 
-    def procs(self) -> List[int]:
-        return list(range(self.schedule.num_procs))
+    def procs(self) -> Sequence[int]:
+        return range(self.schedule.num_procs)
 
     def drt_of(self, node: int) -> Callable[[int], float]:
         schedule, probe = self.schedule, self.links.probe_arrival
@@ -228,6 +229,11 @@ class LinkOracle(StartOracle):
                     t = arr
             return t
         return drt
+
+    def drt_split(self, node: int) -> Tuple[Callable[[int], float],
+                                            Container[int], float]:
+        """Every processor is probed: arrivals depend on the route."""
+        return self.drt_of(node), self.procs(), 0.0
 
     def revision(self, proc: int) -> object:
         return (self.schedule.revision(proc), self.links.revision)

@@ -2,9 +2,10 @@
 
 Mirrors the :mod:`repro.check.sanitize` arming pattern: the tracer is a
 process-wide no-op until ``REPRO_TRACE=1`` appears in the environment
-(:func:`armed` reads it on every call so tests and long-lived processes
-can toggle).  :func:`span` is the one hot-path entry point — disarmed it
-returns a shared null context after a single dict probe.
+(:func:`armed` reads it on every call, one dict probe, so tests and
+long-lived processes can toggle).  :func:`span` is the one hot-path
+entry point — disarmed it returns a shared null context after that
+probe.
 
 Two kinds of data are recorded:
 
@@ -64,14 +65,26 @@ ENV_PATH_VAR = "REPRO_TRACE_PATH"
 MAIN_TRACK = "main"
 
 
+# ``os.environ`` keeps the live environment in an encoded dict and
+# writes every set and delete through to it; probing that dict with a
+# pre-encoded key skips the mapping layer's encode and decode calls,
+# nearly all of what an ``os.environ.get`` costs.
+_ENVIRON = os.environ._data  # type: ignore[attr-defined]
+_ENV_KEY = os.environ.encodekey(ENV_VAR)
+#: Values that leave it disarmed: unset, "" and "0".
+_OFF = (None, os.environ.encodevalue(""), os.environ.encodevalue("0"))
+
+
 def armed() -> bool:
     """True when tracing is armed for this process.
 
-    Read from the environment on every call so tests (and worker
-    processes that inherit the variable) agree with the parent; the
-    lookup is a single dict probe — the entire disarmed cost.
+    Read from the environment on every call, so a ``setenv`` or
+    ``delenv`` takes effect at the next call and worker processes that
+    inherit the variable agree with the parent.  The read is a single
+    dict probe of the environment's encoded mapping — the entire
+    disarmed cost.
     """
-    return os.environ.get(ENV_VAR, "") not in ("", "0")
+    return _ENVIRON.get(_ENV_KEY) not in _OFF
 
 
 @dataclass
