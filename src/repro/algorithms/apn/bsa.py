@@ -23,21 +23,27 @@ Deviation from the original: tentative moves are evaluated by re-timing
 the deterministic fixed-mapping network simulation instead of the
 original's in-place incremental updates.  Each trial runs only the flat
 timing core (:func:`~repro.algorithms.mapping.time_fixed_order`: start
-and finish lists, channel busy lists, no :class:`Schedule` and no
-message records) and reads two numbers from it, the schedule length and
-the moved node's start; the schedule is built once, from the final
-sequences.  Decisions (migrate/stay) are made on the same criterion —
-start-time improvement without schedule degradation — so the search
-trajectory matches the published algorithm on its published examples;
-only the bookkeeping differs.  With ``REPRO_SANITIZE`` armed every
-trial is re-timed through the materialising
-:func:`~repro.algorithms.mapping.execute_fixed_order` and must agree.
+and finish lists, bookings on the one link core, no :class:`Schedule`
+and no message records) and reads two numbers from it, the schedule
+length and the moved node's start; the schedule is built once, from
+the final sequences.  A trial is timed against the bound
+``min(best_len + 1e-9, length of the node's best trial so far)`` and
+stops once its length provably exceeds it: such a trial fails the
+migration test or has a key above the node's best move, so it is never
+the accepted move and every decision is kept.  Decisions
+(migrate/stay) are made on the same criterion — start-time improvement
+without schedule degradation — so the search trajectory matches the
+published algorithm on its published examples; only the bookkeeping
+differs.  With ``REPRO_SANITIZE`` armed every trial is re-timed
+through the materialising
+:func:`~repro.algorithms.mapping.execute_fixed_order` and must agree,
+or, when stopped, be longer than its bound.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ...check import sanitize as _sanitize
 from ...core.attributes import blevel, critical_path, tlevel
@@ -47,7 +53,8 @@ from ...core.machine import Machine, NetworkMachine
 from ...core.schedule import Schedule
 from ...network.topology import Topology
 from ..base import Scheduler, register
-from ..mapping import execute_fixed_order, time_fixed_order
+from ..mapping import (EXCEEDED, FixedOrderTiming, execute_fixed_order,
+                       time_fixed_order)
 
 __all__ = ["BSA", "cpn_dominant_list"]
 
@@ -116,7 +123,9 @@ class BSA(Scheduler):
         sequences[pivot] = list(order)
 
         # The base: its sequences plus its start list and length.
-        best_len, best_start = _time_trial(graph, sequences, topo, order[0])
+        base = _time_trial(graph, sequences, topo, order[0], None)
+        assert base is not None
+        best_len, best_start = base
 
         # Breadth-first processor order from the pivot.
         visited = {pivot}
@@ -144,7 +153,16 @@ class BSA(Scheduler):
                     trial[current] = stay
                     trial[nb] = _inserted_by_order(sequences[nb], node,
                                                    topo_pos)
-                    length, start = _time_trial(graph, trial, topo, node)
+                    # A trial longer than this bound is never taken: it
+                    # fails the migration test, or an earlier trial of
+                    # this node has the smaller key.
+                    bound = best_len + 1e-9
+                    if best_move is not None and best_move[0] < bound:
+                        bound = best_move[0]
+                    timed = _time_trial(graph, trial, topo, node, bound)
+                    if timed is None:
+                        continue
+                    length, start = timed
                     key = (length, start[node], nb)
                     if best_move is None or key < best_move:
                         best_move = key
@@ -165,16 +183,28 @@ class BSA(Scheduler):
 
 
 def _time_trial(graph: TaskGraph, sequences: List[List[int]],
-                topo: Topology, node: int) -> Tuple[float, List[float]]:
+                topo: Topology, node: int, bound: Optional[float]
+                ) -> Optional[Tuple[float, List[float]]]:
     """Length and start list of timing ``sequences``, no schedule built.
 
+    ``None`` when the timing stopped at ``bound``: the trial is longer.
     With the sanitizer armed, the materialising executor re-derives the
-    trial and must agree on the length and on ``node``'s start.
+    trial and must agree on the length and on ``node``'s start, or, for
+    a stopped trial, be longer than ``bound``.
     """
-    timing = time_fixed_order(graph, sequences, topo)
+    timing = time_fixed_order(graph, sequences, topo, bound=bound)
     if timing is None:  # pragma: no cover - CPN-dominant order is topological
         raise ScheduleError("BSA sequences deadlock against the precedence "
                             "order")
+    if timing is EXCEEDED:
+        if _sanitize.enabled():
+            oracle = execute_fixed_order(graph, sequences, topo)
+            _sanitize.require(
+                bound is not None and oracle.length > bound,
+                f"BSA trial of node {node} stopped at bound {bound!r} but "
+                f"its schedule is only {oracle.length!r} long")
+        return None
+    assert isinstance(timing, FixedOrderTiming)
     length = timing.length
     if _sanitize.enabled():
         oracle = execute_fixed_order(graph, sequences, topo)

@@ -21,15 +21,22 @@ arrival profile is built once, when the node is released, and gives it
 one row.  A cell holds while the oracle's revision of its processor
 does (on a clique: no placement there since — by the loop, the
 ``hole`` filler or an online replan's pins; on a network: no message
-booked either), so a step re-reads only the columns whose revision
+booked either), so a step looks only at the columns whose revision
 moved, plus a new column when the shortlist gains a processor.
 Append-only on a clique, a node's data-ready row is fixed at release
 and its starts are ``max(data-ready row, processor ready times)``, one
-vector operation; slot search and networks probe the moved columns
-cell by cell.  The priority values are read as an array every step,
-and one argmin over the array picks the least ``(est - shift, tie,
-node, proc)`` key.  A step costs O(ready × moved columns) probes and
-O(ready × columns) vector work, in O(ready × columns) memory.
+vector operation.  Under slot search and on networks a moved column's
+cells turn stale but keep their values: within a run placements only
+append or fill gaps and bookings are never released (the oracle's
+``removals`` must hold, or the pick raises), so no start decreases and
+a kept start is a lower bound on the current one.  The priority
+values are read as an array every step, and one argmin over the array
+picks the least ``(est - shift, tie, node, proc)`` key; while that
+cell is stale, every stale cell whose kept lead is at or below it is
+re-probed and the argmin taken again.  A fresh argmin is the full
+refresh's: every other cell's true key is at least its kept one.  A
+step costs at most O(ready × moved columns) probes and O(ready ×
+columns) vector work, in O(ready × columns) memory.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ...check import sanitize as _sanitize
+from ...core.exceptions import ScheduleError
 from ...core.listsched import (
     best_proc_min_eft,
     best_proc_min_est,
@@ -143,14 +151,15 @@ class _PairScan(SelectorState):
     ``max(_cells[r, c], _floor[c])``: append-only on a clique, the
     cells are the node's data-ready times, final at its release, and
     the floor is the processor's ready time; otherwise (slot search, or
-    a network booking messages) the cells are the probed start times
-    and the floor is ``-inf``.
+    a network booking messages) the cells are the probed start times,
+    or lower bounds on them where ``_stale`` is set, and the floor is
+    ``-inf``.
     """
 
     __slots__ = ("_oracle", "_schedule", "_ready", "_prio", "_slot",
                  "_rank", "_append", "_procs", "_seen", "_used",
                  "_released", "_live", "_nodes", "_probes", "_cells",
-                 "_floor")
+                 "_stale", "_floor", "_removals")
 
     def __init__(self, oracle: StartOracle, ready: ReadyTracker,
                  prio: PriorityState, slot: bool, rank: Rank):
@@ -164,7 +173,7 @@ class _PairScan(SelectorState):
         # max(data-ready time, processor ready time), vectorised.
         self._append = not slot and not oracle.books_messages
         self._procs: List[int] = []  # column -> processor id
-        self._seen: List[object] = []  # column -> revision last probed
+        self._seen: List[object] = []  # column -> revision last read
         self._used = -1              # processors_used() at the last sync
         self._released = 0           # ready.released_since mark
         self._live = ready.ready_mask()
@@ -174,25 +183,42 @@ class _PairScan(SelectorState):
         self._probes: Dict[int, Tuple[Callable[[int], float],
                                       Optional[float]]] = {}
         self._cells = np.empty((0, 0))
+        self._stale = np.empty((0, 0), dtype=bool)
         self._floor = np.empty(0)
+        # Kept cells are lower bounds only while nothing is taken back.
+        self._removals = oracle.removals()
 
     def pick(self, pool: ReadyPool) -> Tuple[int, int, float]:
+        if self._oracle.removals() != self._removals:
+            raise ScheduleError(
+                "a placement or message booking was taken back while a "
+                "pair scan was live: its kept start times no longer "
+                "bound the probed ones")
         self._drop_placed()
-        self._probe(self._changed_columns())
+        self._invalidate(self._changed_columns())
         self._add_released()
         # Re-read every step: a dynamic rule (dnode) may move them.
         nodes = self._nodes
         shift, tie = self._rank(self._prio.values(nodes))
         if isinstance(shift, np.ndarray):
             shift = shift[:, None]
-        starts = np.maximum(self._cells, self._floor)
-        lead = starts - shift
         # Rows in (tie, node) order and columns in processor order make
         # the first minimum the least (lead, tie, node, proc) key.
         order = np.lexsort((nodes, tie)) if isinstance(tie, np.ndarray) \
             else nodes.argsort()
-        row, col = divmod(int(lead[order].argmin()), len(self._procs))
-        row = int(order[row])
+        starts = np.maximum(self._cells, self._floor) if self._append \
+            else self._cells
+        while True:
+            lead = starts - shift
+            row, col = divmod(int(lead[order].argmin()), len(self._procs))
+            row = int(order[row])
+            if self._append or not self._stale[row, col]:
+                break
+            # A stale cell's true lead is at least its kept one, so only
+            # the stale cells at or below the least kept lead can beat
+            # it; once the least cell is fresh, it is the true least.
+            self._refresh(np.flatnonzero(
+                self._stale & (lead <= lead[row, col])))
         node, proc = int(nodes[row]), self._procs[col]
         est = float(starts[row, col])
         if _sanitize.enabled():
@@ -209,9 +235,11 @@ class _PairScan(SelectorState):
             del self._probes[node]
         self._nodes = nodes[keep]
         self._cells = self._cells[keep]
+        if not self._append:
+            self._stale = self._stale[keep]
 
     def _changed_columns(self) -> List[int]:
-        """Columns whose revision moved since they were last probed.
+        """Columns whose revision moved since they were last read.
 
         A column joining the shortlist counts as changed (never probed).
         """
@@ -231,28 +259,49 @@ class _PairScan(SelectorState):
         self._procs.insert(c, proc)
         self._seen.insert(c, None)
         cells, floor, probes = self._cells, self._floor, self._probes
-        grown = np.zeros((len(cells), len(floor) + 1))
+        # A cell never probed holds -inf, the weakest lower bound.
+        grown = np.full((len(cells), len(floor) + 1), -np.inf)
         grown[:, :c], grown[:, c + 1:] = cells[:, :c], cells[:, c:]
-        if self._append:  # otherwise probed with the changed columns
+        if self._append:
             grown[:, c] = [probes[node][0](proc)
                            for node in self._nodes.tolist()]
+        else:
+            self._stale = np.insert(self._stale, c, True, axis=1)
         self._cells = grown
         self._floor = np.concatenate((floor[:c], [-np.inf], floor[c:]))
 
-    def _probe(self, cols: List[int]) -> None:
-        """Bring the columns ``cols`` up to date on every row."""
-        schedule, procs = self._schedule, self._procs
+    def _invalidate(self, cols: List[int]) -> None:
+        """Account for the columns ``cols`` having moved.
+
+        Append-only, a moved column re-reads its processor's ready
+        time.  Otherwise its cells turn stale and keep their values:
+        placements only append or fill gaps and bookings are never
+        released while the scan is live, so no start ever decreases,
+        and a kept start is a lower bound on the current one.
+        """
         if self._append:
-            floor = self._floor
+            schedule, procs, floor = self._schedule, self._procs, \
+                self._floor
             for c in cols:
                 floor[c] = schedule.proc_ready_time(procs[c])
-            return
-        nodes = self._nodes.tolist()
-        if cols and nodes:
-            probes, starts = self._probes, self._starts
-            moved = [procs[c] for c in cols]
-            self._cells[:, cols] = [starts(node, *probes[node], moved)
-                                    for node in nodes]
+        elif cols:
+            self._stale[:, cols] = True
+
+    def _refresh(self, flat: np.ndarray) -> None:
+        """Re-probe the cells at flat indices ``flat``; they turn fresh."""
+        schedule, slot = self._schedule, self._slot
+        slot_of, duration_of = schedule.earliest_slot, schedule.duration_of
+        nodes, procs, probes = self._nodes, self._procs, self._probes
+        rows, cols = np.divmod(flat, len(procs))
+        values = []
+        for r, c in zip(rows.tolist(), cols.tolist()):
+            node, proc = int(nodes[r]), procs[c]
+            drt, dur = probes[node]
+            values.append(slot_of(proc, drt(proc), duration_of(node, proc)
+                                  if dur is None else dur,
+                                  insertion=slot))
+        self._cells.flat[flat] = values
+        self._stale.flat[flat] = False
 
     def _starts(self, node: int, drt: Callable[[int], float],
                 dur: Optional[float], procs: List[int]) -> List[float]:
@@ -264,7 +313,7 @@ class _PairScan(SelectorState):
                 for proc in procs]
 
     def _add_released(self) -> None:
-        """Add one row per node released since the last step."""
+        """Add one fresh row per node released since the last step."""
         fresh, self._released = self._ready.released_since(self._released)
         if not fresh:
             return
@@ -280,10 +329,22 @@ class _PairScan(SelectorState):
                         else self._starts(node, drt, dur, procs))
         self._nodes = np.concatenate((self._nodes, fresh))
         self._cells = np.concatenate((self._cells, rows))
+        if not self._append:
+            self._stale = np.concatenate(
+                (self._stale, np.zeros((len(fresh), len(procs)), bool)))
 
     def _check(self, node: int, proc: int, est: float) -> None:
-        """Sanitizer oracle: a full rescan must pick the same pair."""
+        """Sanitizer oracles: every kept start bounds its probe, and a
+        full rescan picks the same pair."""
         oracle, slot = self._oracle, self._slot
+        for r, c in zip(*np.nonzero(self._stale)):
+            cand, p = int(self._nodes[r]), self._procs[c]
+            kept, fresh = float(self._cells[r, c]), est_on_proc(
+                oracle, cand, p, slot)
+            _sanitize.require(
+                fresh >= kept,
+                f"pair scan keeps {kept!r} for node {cand} on P{p}, above "
+                f"its probed start {fresh!r}: a kept start must bound it")
         want: Optional[Tuple[float, float, int, int]] = None
         for cand in self._ready.iter_ready():
             shift, tie = map(float, self._rank(self._prio.value(cand)))

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 from typing import (Dict, List, NamedTuple, Optional, Sequence, Tuple,
-                    Union)
+                    Union, overload)
 
 from ..core.attributes import blevel
 from ..core.exceptions import ScheduleError
@@ -39,6 +39,7 @@ __all__ = [
     "execute_fixed_order",
     "time_fixed_order",
     "FixedOrderTiming",
+    "EXCEEDED",
     "simulate_fixed_sequences",
 ]
 
@@ -192,9 +193,36 @@ class FixedOrderTiming(NamedTuple):
         return max(self.finish)
 
 
+class _Exceeded:
+    """The type of :data:`EXCEEDED`."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "EXCEEDED"
+
+
+#: What :func:`time_fixed_order` returns when it stops at its bound.
+EXCEEDED = _Exceeded()
+
+
+@overload
 def time_fixed_order(graph: TaskGraph, sequences: Sequence[List[int]],
-                     procs: Union[int, Topology], messages: bool = False
-                     ) -> Optional[FixedOrderTiming]:
+                     procs: Union[int, Topology], messages: bool = False,
+                     bound: None = None) -> Optional[FixedOrderTiming]: ...
+
+
+@overload
+def time_fixed_order(graph: TaskGraph, sequences: Sequence[List[int]],
+                     procs: Union[int, Topology], messages: bool = False,
+                     bound: Optional[float] = None
+                     ) -> Union[FixedOrderTiming, _Exceeded, None]: ...
+
+
+def time_fixed_order(graph: TaskGraph, sequences: Sequence[List[int]],
+                     procs: Union[int, Topology], messages: bool = False,
+                     bound: Optional[float] = None
+                     ) -> Union[FixedOrderTiming, _Exceeded, None]:
     """The timing core of :func:`execute_fixed_order`, on plain lists.
 
     Returns the start and finish of every node, or ``None`` when the
@@ -202,6 +230,18 @@ def time_fixed_order(graph: TaskGraph, sequences: Sequence[List[int]],
     ``messages=True`` also the message records of a topology run.  No
     :class:`Schedule` is built, so callers that only compare timings
     (BSA's migration trials) skip the per-task bookkeeping.
+
+    Given a makespan ``bound``, the run stops and returns
+    :data:`EXCEEDED` as soon as a lower bound on its length is above
+    ``bound``, so a stopped run is always longer than ``bound``.  After
+    each placement the lower bound is the larger of the node's finish
+    plus its computation-only tail (the heaviest chain of weights below
+    it: each child starts after the node's data is out) and its
+    processor's new ready time plus the weights still queued there.
+    The float sums behind those two are taken in another order than
+    the run adds, so they are compared against ``bound`` raised by
+    ``(n + 2) * 2**-51`` relatively, more than their rounding can move
+    them in a graph of ``n`` nodes.
 
     Messages are committed receiver-side in a fixed order, BU's and
     BSA's timing contract.  Tasks go in rounds: each round places the
@@ -218,6 +258,7 @@ def time_fixed_order(graph: TaskGraph, sequences: Sequence[List[int]],
     links: Optional[LinkSchedule] = None
     if isinstance(procs, Topology):
         links = LinkSchedule(procs)
+        send = links.send
         num_procs = procs.num_procs
     else:
         num_procs = procs
@@ -237,6 +278,12 @@ def time_fixed_order(graph: TaskGraph, sequences: Sequence[List[int]],
         raise ScheduleError("sequences must cover every node exactly once")
 
     weights, preds, succs = _flat_graph(graph)
+    limit: Optional[float] = None
+    if bound is not None:
+        limit = bound * (1.0 + (n + 2) * 2.0 ** -51)
+        tails = _computation_tails(graph)
+        queued = [_suffix_sums([weights[v] for v in seq])
+                  for seq in sequences]
     start = [0.0] * n
     finish = [0.0] * n
     proc_ready = [0.0] * len(sequences)
@@ -271,7 +318,7 @@ def time_fixed_order(graph: TaskGraph, sequences: Sequence[List[int]],
                 sends.sort()
                 for sent, parent, cost in sends:
                     if records is None:
-                        arr = links.send(proc_of[parent], p, sent, cost)
+                        arr = send(proc_of[parent], p, sent, cost)
                     else:
                         msg = links.commit(parent, node, proc_of[parent], p,
                                            sent, cost)
@@ -283,7 +330,14 @@ def time_fixed_order(graph: TaskGraph, sequences: Sequence[List[int]],
             if arrival > t:
                 t = arrival
             start[node] = t
-            finish[node] = proc_ready[p] = t + weights[node]
+            finish[node] = proc_ready[p] = end = t + weights[node]
+            if limit is not None:
+                lower = end + queued[p][next_slot[p] + 1]
+                tail = end + tails[node]
+                if tail > lower:
+                    lower = tail
+                if lower > limit:
+                    return EXCEEDED
             order.append(node)
             for child in succs[node]:
                 remaining[child] -= 1
@@ -319,6 +373,37 @@ def _flat_graph(graph: TaskGraph
         [g.pred_pairs(v) for v in g.nodes()],
         [g.succ_pairs(v)[0] for v in g.nodes()],
     ))
+
+
+def _computation_tails(graph: TaskGraph) -> List[float]:
+    """Per-graph memo: each node's heaviest chain of descendant weights.
+
+    ``tail[v]`` is the largest ``w(c1) + ... + w(ck)`` over the paths
+    ``v -> c1 -> ... -> ck`` (0 for a sink): no communication, the
+    computation that must follow ``v``'s finish.
+    """
+    def tails(g: TaskGraph) -> List[float]:
+        weights, _preds, succs = _flat_graph(g)
+        out = [0.0] * g.num_nodes
+        for v in reversed(g.topological_order):
+            best = 0.0
+            for c in succs[v]:
+                chain = weights[c] + out[c]
+                if chain > best:
+                    best = chain
+            out[v] = best
+        return out
+    return graph.cached("_fixed_order_tails", tails)
+
+
+def _suffix_sums(values: List[float]) -> List[float]:
+    """``out[k] = sum(values[k:])``, with ``out[len(values)] = 0``."""
+    out = [0.0] * (len(values) + 1)
+    total = 0.0
+    for k in range(len(values) - 1, -1, -1):
+        total = values[k] + total
+        out[k] = total
+    return out
 
 
 def _materialise(graph: TaskGraph, procs: Union[int, Topology],

@@ -187,7 +187,8 @@ class StartOracle:
     ready node's data-ready time per processor and :meth:`drt_split`
     the same, split for a pruned scan, :meth:`drt` one from scratch; a
     probed start holds while :meth:`revision` of its processor does
-    (:meth:`revisions` reads several at once); :meth:`commit` places a
+    (:meth:`revisions` reads several at once), and no start moves
+    earlier while :meth:`removals` holds; :meth:`commit` places a
     node and returns its start.  ``books_messages`` marks an oracle
     whose commits book messages.
     """
@@ -225,6 +226,14 @@ class StartOracle:
     def revisions(self, procs: Sequence[int]) -> Sequence[object]:
         """:meth:`revision` of each of ``procs``."""
         return self.schedule.revisions(procs)
+
+    def removals(self) -> int:
+        """How many placements (and bookings) were ever taken back.
+
+        While it holds, no probed start time has moved earlier: a start
+        only grows as placements and bookings are added.
+        """
+        return self.schedule.removals
 
     def drt(self, node: int, proc: int) -> float:
         return self.schedule.data_ready_time(node, proc)

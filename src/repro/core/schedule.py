@@ -122,6 +122,9 @@ class Schedule:
         # (place or unplace), so incremental scans can tell which
         # timelines changed since they last probed them.
         self._revision: List[int] = [0] * num_procs
+        #: How many placements :meth:`unplace` has removed.  Between two
+        #: equal readings no probed start time can have moved earlier.
+        self.removals = 0
         self.messages: Dict[Tuple[int, int], Message] = {}
 
     # ------------------------------------------------------------------
@@ -335,6 +338,7 @@ class Schedule:
         del self._nodes[pl.proc][idx]
         del self._placements[node]
         self._revision[pl.proc] += 1
+        self.removals += 1
         if not self._starts[pl.proc]:
             self._used.remove(pl.proc)
             if pl.proc < self._first_empty:

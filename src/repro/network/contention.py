@@ -12,16 +12,20 @@ store-and-forward model used by MH and BSA:
 * hop reservations may be inserted into idle windows of a channel
   (insertion discipline, mirroring task insertion on processors).
 
-:class:`LinkSchedule` owns the channel timelines and supports tentative
-queries (``probe_arrival``) so schedulers can compare candidate
-processors before committing; :class:`LinkOracle` builds the component
-loop's start-time oracle on a network from them.
+:class:`LinkSchedule` is the one link core: every booking in the
+package (the fixed-order executor behind BU and BSA, MH's and
+DLS-APN's :class:`LinkOracle`, the simulator's contention network)
+goes through its :meth:`~LinkSchedule.send`, and every tentative query
+through :meth:`~LinkSchedule.probe_arrival`.  Both are one loop over
+the route's channel ids with the earliest-window search inline.
+:class:`LinkOracle` builds the component loop's start-time oracle on a
+network from it.
 """
 
 from __future__ import annotations
 
-import bisect
-from typing import (Callable, Container, Dict, List, Optional, Sequence,
+from bisect import bisect_left, bisect_right
+from typing import (Callable, Container, List, Optional, Sequence,
                     Tuple)
 
 from ..core.exceptions import ScheduleError
@@ -37,98 +41,40 @@ Channel = Tuple[int, int]
 Hop = Tuple[Channel, float, float]
 
 
-class _ChannelTimeline:
-    """Busy intervals of one directed channel, kept sorted."""
-
-    __slots__ = ("starts", "finishes")
-
-    def __init__(self):
-        self.starts: List[float] = []
-        self.finishes: List[float] = []
-
-    def earliest(self, est: float, duration: float) -> float:
-        """Earliest start >= est of a busy window of ``duration``."""
-        starts, fins = self.starts, self.finishes
-        if not starts:
-            return est
-        if est + duration <= starts[0] + _EPS:
-            return est
-        i = bisect.bisect_right(fins, est)
-        if i > 0:
-            i -= 1
-        for k in range(i, len(starts) - 1):
-            gap = fins[k]
-            if est > gap:
-                gap = est
-            if gap + duration <= starts[k + 1] + _EPS:
-                return gap
-        last = fins[-1]
-        return est if est >= last else last
-
-    def book(self, est: float, duration: float) -> float:
-        """Reserve the :meth:`earliest` window for ``duration``; return
-        its start.
-
-        The window is inserted at its ``bisect_left`` index after the
-        same overlap check a hand-placed reservation would get.
-        """
-        starts, fins = self.starts, self.finishes
-        if not starts:
-            starts.append(est)
-            fins.append(est + duration)
-            return est
-        start = self.earliest(est, duration)
-        finish = start + duration
-        i = bisect.bisect_left(starts, start)
-        if i > 0 and fins[i - 1] > start + _EPS:
-            raise ScheduleError("channel reservation overlaps existing message")
-        if i < len(starts) and starts[i] < finish - _EPS:
-            raise ScheduleError("channel reservation overlaps existing message")
-        starts.insert(i, start)
-        fins.insert(i, finish)
-        return start
-
-    def release(self, start: float) -> None:
-        i = bisect.bisect_left(self.starts, start)
-        if i == len(self.starts) or abs(self.starts[i] - start) > _EPS:
-            raise ScheduleError("no reservation at the given start time")
-        del self.starts[i]
-        del self.finishes[i]
-
-
 class LinkSchedule:
     """Message reservations over every directed channel of a topology.
 
-    A channel's timeline is created when the first message between two
-    processors whose route crosses it is sent or probed, so a
-    short-lived schedule pays only for the channels it uses.
-    ``revision`` counts bookings and releases: probes hold while it does.
+    Channel ``c`` (an id of :meth:`Topology.channel_route`) keeps its
+    busy intervals as two sorted lists, ``starts[c]`` and
+    ``finishes[c]``.  A message takes, hop by hop, the earliest window
+    of its channel that opens once the previous hop is done: the gap
+    before the first reservation when it fits, else the first gap
+    between two reservations that fits (a window may end up to ``1e-9``
+    past the next start), else the end of the channel.  A booked
+    window is inserted at its ``bisect_left`` index after the same
+    overlap check a hand-placed reservation would get.
+
+    ``revision`` counts bookings and releases: probes hold while it
+    does.  ``releases`` counts releases alone; between two equal
+    readings no reservation was removed, so no probed arrival can have
+    moved earlier.
     """
+
+    __slots__ = ("topology", "revision", "releases", "_starts",
+                 "_finishes", "_routes", "_bandwidth")
 
     def __init__(self, topology: Topology):
         self.topology = topology
         self.revision = 0
-        self._timelines: Dict[Channel, _ChannelTimeline] = {}
-        # (src, dst) -> the route's (channel, timeline) pairs, in order.
-        self._paths: Dict[Channel, List[Tuple[Channel, _ChannelTimeline]]] = {}
+        self.releases = 0
+        count = topology.num_channels
+        self._starts: List[List[float]] = [[] for _ in range(count)]
+        self._finishes: List[List[float]] = [[] for _ in range(count)]
+        # The topology's memo of channel-id routes, read without a call.
+        self._routes = topology.channel_routes
+        self._bandwidth = topology.bandwidth
 
     # ------------------------------------------------------------------
-    def _path(self, src: int, dst: int
-              ) -> List[Tuple[Channel, _ChannelTimeline]]:
-        """The memoised channels and timelines of the route src -> dst."""
-        path = self._paths.get((src, dst))
-        if path is None:
-            route = self.topology.route(src, dst)
-            timelines = self._timelines
-            path = []
-            for ch in zip(route, route[1:]):
-                tl = timelines.get(ch)
-                if tl is None:
-                    tl = timelines[ch] = _ChannelTimeline()
-                path.append((ch, tl))
-            self._paths[(src, dst)] = path
-        return path
-
     def probe_arrival(self, src: int, dst: int, ready: float,
                       cost: float) -> float:
         """Arrival time if a message left ``src`` at ``ready`` — no commit.
@@ -137,10 +83,28 @@ class LinkSchedule:
         """
         if src == dst or cost <= 0:
             return ready
-        duration = self.topology.transfer_time(cost)
+        duration = cost / self._bandwidth
         avail = ready
-        for _ch, tl in self._paths.get((src, dst)) or self._path(src, dst):
-            avail = tl.earliest(avail, duration) + duration
+        all_starts, all_fins = self._starts, self._finishes
+        for ch in (self._routes.get((src, dst))
+                   or self.topology.channel_route(src, dst)):
+            starts = all_starts[ch]
+            if starts and avail + duration > starts[0] + _EPS:
+                fins = all_fins[ch]
+                i = bisect_right(fins, avail)
+                if i > 0:
+                    i -= 1
+                for k in range(i, len(starts) - 1):
+                    gap = fins[k]
+                    if avail > gap:
+                        gap = avail
+                    if gap + duration <= starts[k + 1] + _EPS:
+                        avail = gap
+                        break
+                else:
+                    last = fins[-1]
+                    avail = avail if avail >= last else last
+            avail = avail + duration
         return avail
 
     def send(self, src: int, dst: int, ready: float, cost: float,
@@ -148,21 +112,54 @@ class LinkSchedule:
         """Book a message's channels hop by hop; return its arrival.
 
         The record-free core of :meth:`commit`: each hop takes the
-        earliest window of its channel once the previous hop is done.
-        When ``hops`` is given, the ``(channel, start, finish)``
-        reservations are appended to it.  Zero-cost or same-processor
-        messages book nothing and arrive at ``ready``.
+        earliest window of its channel once the previous hop is done,
+        the window :meth:`probe_arrival` finds.  When ``hops`` is
+        given, the ``(channel, start, finish)`` reservations are
+        appended to it.  Zero-cost or same-processor messages book
+        nothing and arrive at ``ready``.
         """
         if src == dst or cost <= 0:
             return ready
         self.revision += 1
-        duration = self.topology.transfer_time(cost)
+        duration = cost / self._bandwidth
         avail = ready
-        for ch, tl in self._paths.get((src, dst)) or self._path(src, dst):
-            start = tl.book(avail, duration)
+        all_starts, all_fins = self._starts, self._finishes
+        for ch in (self._routes.get((src, dst))
+                   or self.topology.channel_route(src, dst)):
+            starts, fins = all_starts[ch], all_fins[ch]
+            if not starts:
+                starts.append(avail)
+                fins.append(avail + duration)
+                start = avail
+            else:
+                start = avail
+                if avail + duration > starts[0] + _EPS:
+                    i = bisect_right(fins, avail)
+                    if i > 0:
+                        i -= 1
+                    for k in range(i, len(starts) - 1):
+                        gap = fins[k]
+                        if avail > gap:
+                            gap = avail
+                        if gap + duration <= starts[k + 1] + _EPS:
+                            start = gap
+                            break
+                    else:
+                        last = fins[-1]
+                        start = avail if avail >= last else last
+                finish = start + duration
+                i = bisect_left(starts, start)
+                if i > 0 and fins[i - 1] > start + _EPS:
+                    raise ScheduleError(
+                        "channel reservation overlaps existing message")
+                if i < len(starts) and starts[i] < finish - _EPS:
+                    raise ScheduleError(
+                        "channel reservation overlaps existing message")
+                starts.insert(i, start)
+                fins.insert(i, finish)
             avail = start + duration
             if hops is not None:
-                hops.append((ch, start, avail))
+                hops.append((self.topology.channel(ch), start, avail))
         return avail
 
     def commit(self, edge_src_node: int, edge_dst_node: int, src: int,
@@ -179,16 +176,33 @@ class LinkSchedule:
         return Message(edge_src_node, edge_dst_node, route, hops, arrival)
 
     def release(self, msg: Message) -> None:
-        """Undo a committed message (used by migrating schedulers)."""
+        """Undo a committed message (used by migrating schedulers).
+
+        Atomic: every hop's reservation is found before any is removed,
+        so a message this schedule does not hold raises
+        :class:`ScheduleError` and leaves every channel as it was.
+        """
+        found: List[Tuple[int, int]] = []
+        for ch, start, _finish in msg.hops:
+            cid = self.topology.channel_id(ch)
+            starts = self._starts[cid] if cid is not None else []
+            i = bisect_left(starts, start)
+            if i == len(starts) or abs(starts[i] - start) > _EPS \
+                    or (cid, i) in found:
+                raise ScheduleError("no reservation at the given start time")
+            found.append((cid, i))
         self.revision += 1
-        for (ch, start, finish) in msg.hops:
-            self._timelines[ch].release(start)
+        self.releases += 1
+        # Descending, so an index is still valid when its turn comes.
+        for cid, i in sorted(found, reverse=True):
+            del self._starts[cid][i]
+            del self._finishes[cid][i]
 
     def busy_time(self) -> float:
         """Total reserved channel time (a network-load metric)."""
         total = 0.0
-        for tl in self._timelines.values():
-            total += sum(f - s for s, f in zip(tl.starts, tl.finishes))
+        for starts, fins in zip(self._starts, self._finishes):
+            total += sum(f - s for s, f in zip(starts, fins))
         return total
 
 
@@ -198,10 +212,12 @@ class LinkOracle(StartOracle):
     Every processor is a candidate.  A node's data-ready time on a
     processor is the latest arrival of its parents' messages if sent
     now (no booking), stale once the processor or the link bookings
-    move.  :meth:`commit` books those messages in ``(parent finish,
-    parent id)`` order, records them and starts the node when its
-    processor is free and they are in — later than probed, if they
-    contend.  Only append-only runs without pins can book so.
+    move, and never earlier than before while :meth:`removals` (task
+    removals plus message releases) holds.  :meth:`commit` books those
+    messages in ``(parent finish, parent id)`` order, records them and
+    starts the node when its processor is free and they are in — later
+    than probed, if they contend.  Only append-only runs without pins
+    can book so.
     """
 
     books_messages = True
@@ -241,6 +257,9 @@ class LinkOracle(StartOracle):
     def revisions(self, procs: Sequence[int]) -> Sequence[object]:
         revision = self.revision
         return [revision(proc) for proc in procs]
+
+    def removals(self) -> int:
+        return self.schedule.removals + self.links.releases
 
     def drt(self, node: int, proc: int) -> float:
         return self.drt_of(node)(proc)

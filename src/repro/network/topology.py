@@ -13,7 +13,7 @@ for robustness sweeps.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -67,6 +67,12 @@ class Topology:
         if self.num_procs > 1:
             self._check_connected()
         self._routes: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+        # Channel ``2k`` is link ``k`` forward, ``2k + 1`` backward.
+        self._channels: Tuple[Tuple[int, int], ...] = tuple(
+            ch for a, b in self.links for ch in ((a, b), (b, a)))
+        self._channel_ids = {ch: i for i, ch in enumerate(self._channels)}
+        #: The memo behind :meth:`channel_route` (read-only to callers).
+        self.channel_routes: Dict[Tuple[int, int], Tuple[int, ...]] = {}
 
     def _check_connected(self) -> None:
         seen = {0}
@@ -98,12 +104,21 @@ class Topology:
         return len(self.links)
 
     def channels(self) -> List[Tuple[int, int]]:
-        """All directed channels (two per undirected link)."""
-        out = []
-        for a, b in self.links:
-            out.append((a, b))
-            out.append((b, a))
-        return out
+        """All directed channels (two per undirected link), by id."""
+        return list(self._channels)
+
+    @property
+    def num_channels(self) -> int:
+        return len(self._channels)
+
+    def channel(self, channel_id: int) -> Tuple[int, int]:
+        """The directed channel ``(a, b)`` with id ``channel_id``."""
+        return self._channels[channel_id]
+
+    def channel_id(self, channel: Tuple[int, int]) -> Optional[int]:
+        """The id of the directed channel ``(a, b)``; ``None`` if no
+        link joins ``a`` and ``b``."""
+        return self._channel_ids.get(tuple(channel))
 
     def transfer_time(self, cost: float) -> float:
         """Time one hop of a message of ``cost`` occupies its channel."""
@@ -149,6 +164,19 @@ class Topology:
             path = tuple(reversed(rev))
         self._routes[key] = path
         return path
+
+    def channel_route(self, src: int, dst: int) -> Tuple[int, ...]:
+        """Channel ids along :meth:`route` ``src -> dst``, memoised.
+
+        Empty when ``src == dst``.
+        """
+        key = (src, dst)
+        cached = self.channel_routes.get(key)
+        if cached is None:
+            route, ids = self.route(src, dst), self._channel_ids
+            cached = self.channel_routes[key] = tuple(
+                ids[ch] for ch in zip(route, route[1:]))
+        return cached
 
     def hop_count(self, src: int, dst: int) -> int:
         return len(self.route(src, dst)) - 1

@@ -278,8 +278,8 @@ def test_sanitizer_catches_a_stale_trial(monkeypatch):
     calls = []
     core = bsa.time_fixed_order
 
-    def corrupt_third(graph, sequences, procs):
-        timing = core(graph, sequences, procs)
+    def corrupt_third(graph, sequences, procs, **bound):
+        timing = core(graph, sequences, procs, **bound)
         calls.append(1)
         if len(calls) == 3:
             return timing._replace(start=[s + 1.0 for s in timing.start])
