@@ -2,7 +2,7 @@
 
 Produces the markdown table in EXPERIMENTS.md ("Schedule as a
 service"): the default :class:`~repro.scenarios.storm.StormConfig`
-(200 requests, 8 templates cycling 120/200/300-node RGNOS graphs over
+(200 requests, 8 templates cycling 150/250/400-node RGNOS graphs over
 mcp/dls/param specs, Zipf-1.1 popularity) is replayed against a
 self-hosted in-process server, once per worker setting, and the
 report's RPS / latency / cold-vs-warm numbers are printed per run.

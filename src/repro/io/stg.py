@@ -79,17 +79,17 @@ def load_stg(fh: TextIO, name: str = "stg") -> TaskGraph:
             raise GraphError(f"bad STG token: {exc}") from None
 
     n = next_int()
-    weights = [0.0] * n
-    seen = [False] * n
+    # By node id, filled as records arrive: a huge declared count costs
+    # nothing until that many records have actually been read.
+    by_node: Dict[int, float] = {}
     edges: Dict[Tuple[int, int], float] = {}
     for _ in range(n):
         node = next_int()
         if not (0 <= node < n):
             raise GraphError(f"node id {node} out of range")
-        if seen[node]:
+        if node in by_node:
             raise GraphError(f"duplicate node record {node}")
-        seen[node] = True
-        weights[node] = next_float()
+        by_node[node] = next_float()
         n_parents = next_int()
         for _ in range(n_parents):
             parent = next_int()
@@ -98,4 +98,5 @@ def load_stg(fh: TextIO, name: str = "stg") -> TaskGraph:
     remainder = list(it)
     if remainder:
         raise GraphError(f"trailing STG tokens: {remainder[:4]}")
+    weights = [by_node[node] for node in range(n)]
     return TaskGraph(weights, edges, name=name)

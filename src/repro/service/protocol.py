@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import pickle
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -167,19 +168,20 @@ def violations_payload(exc: Exception) -> Dict:
     }
 
 
-def schedule_cell(job) -> Dict:
+def schedule_cell(job: bytes) -> Dict:
     """Worker side of one scheduling job (module-level: it pickles).
 
-    ``job = (graph, machine, canonical spec)`` as the server built and
-    keyed it.  Returns the result payload the cache stores, less the
-    ``key`` the server adds; never raises (an unexpected failure comes
-    back as an ``{"error": ...}`` payload so one bad job cannot poison
-    its whole batch).
+    ``job`` is the built ``(graph, machine, canonical spec)`` as a
+    worker's :func:`~repro.service.server.parse_job` pickled it; it is
+    unpickled here, in the worker that schedules it.  Returns the
+    result payload the cache stores, less the ``key`` the server adds;
+    never raises (an unexpected failure comes back as an ``{"error":
+    ...}`` payload so one bad job cannot poison its whole batch).
     """
-    graph, machine, spec = job
     from .. import api
 
     try:
+        graph, machine, spec = pickle.loads(job)
         sched = api.schedule(graph, machine, spec)
         return {
             "spec": spec,

@@ -3,28 +3,31 @@
 Request lifecycle::
 
     connection -> read HTTP (late -> 408) -> digest memo -> cache
-        hit  -> respond (no scheduling, no queueing)
-        miss -> parse, build and key once (_parse_and_key), coalesce
-                with any identical in-flight request, else enqueue
-                the built job on the bounded queue   (full -> 429)
+        hit  -> respond (no parsing, no scheduling, no queueing)
+        miss -> one pool trip runs parse_job: parse, build and key
+                (_parse_and_key) and pickle the built job  (bad -> 400)
+                key -> cache (another spelling may be cached), else
+                coalesce with any identical in-flight request, else
+                enqueue the pickled job on the bounded queue (full -> 429)
         batch loop drains the queue (up to ``max_batch`` jobs) into
         one of ``jobs`` batch slots, runs the batch on the persistent
-        WorkerPool (which only schedules), fulfils futures, populates
-        the cache
+        WorkerPool (schedule_cell unpickles and schedules), fulfils
+        futures, populates the cache
     handler awaits its future under ``timeout_s``  (late -> 504)
 
-Batching is what makes the worker pool a service component rather
-than a per-request fork: concurrent misses ride one executor
-round-trip, exactly like grid cells ride one ``execute_cells`` call —
-and it *is* the same pool class
-(:class:`~repro.bench.parallel.WorkerPool`).  With ``jobs > 1`` every
-batch, a batch of one included, is scheduled in the workers, and up
-to ``jobs`` batches are in flight at once, so no worker idles while
-the server's own thread reads, parses, builds, keys and encodes the
-next request.  The built graph crosses to a worker as its validated
-CSR arrays and topological order, which the worker adopts without
-rebuilding.  With ``jobs=1`` one batch at a time is scheduled
-in-process with no multiprocessing at all.
+The server process itself never decodes a body, builds, fingerprints
+or unpickles a graph: its one thread (and GIL) is left to HTTP, the
+digest memo, the cache, coalescing, the queue and response encoding.
+A cold request makes two trips to the same
+:class:`~repro.bench.parallel.WorkerPool` the grid engine uses: one
+to parse and key it, one (batched with any other queued misses) to
+schedule it.  The built job crosses between them as bytes pickled
+once in the worker that built it; the graph pickles as its validated
+CSR arrays and topological order, which the scheduling worker adopts
+without rebuilding.  With ``jobs > 1`` every trip, a batch of one
+included, runs in the workers, and up to ``jobs`` batches are in
+flight at once.  With ``jobs=1`` both trips run in-process through
+the same two functions, with no multiprocessing at all.
 
 Shutdown: :meth:`ScheduleService.drain` (wired to SIGTERM/SIGINT by
 ``repro-bench serve``) stops accepting, lets queued and in-flight
@@ -42,6 +45,7 @@ import asyncio
 import functools
 import hashlib
 import itertools
+import pickle
 import signal
 import time
 from collections import OrderedDict
@@ -70,14 +74,33 @@ __all__ = ["ServiceConfig", "ScheduleService"]
 
 def _parse_and_key(body: bytes, content_type: str):
     """Parse, build and key a request body: ``(key, built job)`` —
-    the service's only place for all three (module-level so the
-    handler can push this CPU-bound step off the event loop)."""
+    the service's only place for all three."""
     graph_src, machine_src, spec = parse_schedule_request(body,
                                                           content_type)
     graph = api.as_graph(graph_src)
     machine = api.as_machine(machine_src, graph)
     spec = api.spec_fingerprint(spec)
     return api.request_key(graph, machine, spec), (graph, machine, spec)
+
+
+def parse_job(request: Tuple[bytes, str]) -> Dict:
+    """Worker side of a cold request's first trip (module-level: it
+    pickles).
+
+    ``request = (body, content type)``.  Returns ``{"key", "job"}``,
+    the job being the built ``(graph, machine, spec)`` pickled here,
+    once, for :func:`~repro.service.protocol.schedule_cell`; or, for a
+    malformed body, the ``{"error", "error_payload"}`` shape
+    ``schedule_cell`` uses, the payload a violations table.  Never
+    raises.
+    """
+    try:
+        key, job = _parse_and_key(*request)
+    except Exception as exc:  # ships home; the handler answers 400
+        return {"error": str(exc) or type(exc).__name__,
+                "error_payload": violations_payload(exc)}
+    return {"key": key,
+            "job": pickle.dumps(job, protocol=pickle.HIGHEST_PROTOCOL)}
 
 
 @dataclass
@@ -131,7 +154,7 @@ class ScheduleService:
         # Encoded warm responses by key: a hot hit writes pre-built
         # bytes instead of re-serializing the schedule every time.
         self._warm_bytes: "OrderedDict[str, bytes]" = OrderedDict()
-        # The service's own threads for parsing and batch dispatch —
+        # The service's own threads for pool trips —
         # never the loop's default executor, which other code in the
         # process (e.g. an in-process loadtest client) may saturate.
         self._executor: Optional[ThreadPoolExecutor] = None
@@ -147,7 +170,7 @@ class ScheduleService:
             self.pool.ensure()
         self._queue = asyncio.Queue(maxsize=self.config.queue_limit)
         # Each batch in flight holds a thread while it waits on the
-        # pool; four more stay free for parsing.
+        # pool; four more stay free for parse trips.
         self._executor = ThreadPoolExecutor(
             max_workers=4 + self.pool.jobs,
             thread_name_prefix="repro-service")
@@ -279,16 +302,22 @@ class ScheduleService:
         result = None if key is None else self.cache.lookup(key)
         job = None
         if result is None and key not in self._pending:
-            # An unseen body, or an evicted one with nothing in flight;
-            # off-loop so concurrent warm hits are not delayed.
+            # An unseen body, or an evicted one with nothing in flight:
+            # a worker parses, builds and keys it; off-loop, so
+            # concurrent warm hits are not delayed.
             try:
-                parsed_key, job = await asyncio.get_running_loop(
-                    ).run_in_executor(
-                        self._executor, _parse_and_key, request.body,
-                        request.headers.get("content-type", ""))
-            except Exception as exc:
+                [parsed] = await asyncio.get_running_loop(
+                    ).run_in_executor(self._executor, functools.partial(
+                        self.pool.run_batch, parse_job,
+                        [(request.body,
+                          request.headers.get("content-type", ""))]))
+            except Exception as exc:  # pool died mid-trip
+                self.stats["errors"] += 1
+                return 500, {"error": f"worker pool failure: {exc}"}
+            if "error" in parsed:
                 self.stats["bad_requests"] += 1
-                return 400, violations_payload(exc)
+                return 400, parsed["error_payload"]
+            parsed_key, job = parsed["key"], parsed["job"]
             self.cache.link_digest(digest, parsed_key)
             if key is None:
                 # Another spelling of this request may be cached.
@@ -351,8 +380,8 @@ class ScheduleService:
     async def _batch_loop(self) -> None:
         assert self._queue is not None
         loop = asyncio.get_running_loop()
-        # One batch in flight per worker, so no worker idles while the
-        # server parses the next request.  A slot id is also the trace
+        # One batch in flight per worker, so no worker idles while
+        # another parses the next request.  A slot id is also the trace
         # track of its batch: spans open at once need distinct tracks.
         slots: asyncio.Queue = asyncio.Queue()
         for slot in range(self.pool.jobs):

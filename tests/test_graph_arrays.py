@@ -279,3 +279,82 @@ def test_total_communication_sums_in_input_order():
     g = TaskGraph([1.0] * 4, edges)
     assert g.total_communication == 1.0 + 1.0 + 1e16
     assert g.total_communication != 1e16 + 1.0 + 1.0
+
+
+# ----------------------------------------------------------------------
+# the edge-column converter: the array path against its per-edge loop
+# ----------------------------------------------------------------------
+def _loop_columns(items, n):
+    """The per-edge loop of ``_edge_columns`` on its own, verbatim: the
+    meaning of every conversion the array path takes a short cut for."""
+    failure = None
+    src_l: List[int] = []
+    dst_l: List[int] = []
+    cost_l: List[float] = []
+    for u, v, c in [(u, v, c) for (u, v, c) in items]:
+        try:
+            u, v, c = int(u), int(v), float(c)
+        except Exception as exc:
+            failure = exc
+            break
+        src_l.append(min(max(u, -1), n))
+        dst_l.append(min(max(v, -1), n))
+        cost_l.append(c)
+    return (np.array(src_l, dtype=np.int64), np.array(dst_l, dtype=np.int64),
+            np.array(cost_l, dtype=np.float64), failure)
+
+
+def _columns_outcome(convert, items, n):
+    try:
+        src, dst, cost, failure = convert(items, n)
+    except Exception as exc:
+        return "raised", type(exc).__name__, str(exc)
+    return ([(col.dtype.str, repr(col.tolist())) for col in (src, dst, cost)],
+            None if failure is None else (type(failure).__name__,
+                                          str(failure)))
+
+
+_NUMERIC_CELLS = st.one_of(
+    st.integers(-3, 8), st.integers(-2 ** 80, 2 ** 80),
+    st.sampled_from([2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, -2 ** 53, 2 ** 63,
+                     2 ** 64, 10 ** 400]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-3.0, 8.0), st.booleans())
+
+_CELLS = st.one_of(
+    _NUMERIC_CELLS, st.none(),
+    st.integers(-3, 8).map(str), st.floats(-3.0, 8.0).map(str),
+    st.sampled_from(["nan", "inf", "1e3", "x", ""]))
+
+_ROWS = st.one_of(
+    st.lists(st.integers(0, 6), min_size=3, max_size=3),
+    st.tuples(st.integers(0, 6), st.integers(0, 6), st.floats(0.0, 9.0)),
+    st.lists(_NUMERIC_CELLS, min_size=3, max_size=3),
+    st.lists(_CELLS, min_size=3, max_size=3),
+    st.lists(_CELLS, min_size=2, max_size=2),
+    st.lists(_CELLS, min_size=4, max_size=4))
+
+
+@given(st.lists(_ROWS, max_size=8)
+       | st.lists(st.lists(_NUMERIC_CELLS, min_size=3, max_size=3),
+                  max_size=6),
+       st.integers(1, 6))
+@settings(max_examples=600, deadline=None)
+def test_edge_columns_match_the_per_edge_loop(items, n):
+    assert _columns_outcome(graph_module._edge_columns, items, n) == \
+        _columns_outcome(_loop_columns, items, n)
+    weights = [1.0] * n
+    assert _outcome(lambda: TaskGraph(weights, items)) == \
+        _outcome(lambda: ReferenceGraph(weights, items))
+
+
+@pytest.mark.parametrize("items", [
+    [[0, 1, 2.5], [1, 2, 3]],                  # ints and floats mixed
+    [[True, 2, False]],                        # bools
+    [[0.0, 1.0, 1.0], [2 ** 53, 1, 1.0]],      # an id past 2**53
+    [[0, 1, 1.0], [2 ** 63, 1, 1.0]],          # past int64 in a float table
+    [[-5, 1, 1.0], [1, 9, float("nan")]],      # clipped ids, a NaN cost
+])
+def test_edge_columns_fast_and_loop_cases(items):
+    assert _columns_outcome(graph_module._edge_columns, items, 3) == \
+        _columns_outcome(_loop_columns, items, 3)

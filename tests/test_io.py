@@ -48,6 +48,19 @@ class TestSTGRoundTrip:
         with pytest.raises(GraphError):
             loads_stg("3\n0 1.0 0\n")
 
+    def test_huge_declared_count_allocates_nothing(self):
+        # Three bytes from a client must not buy a per-node array.
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphError, match="truncated"):
+                loads_stg("1000000\n0 1.0 0\n")
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     def test_bad_token_rejected(self):
         with pytest.raises(GraphError):
             loads_stg("1\n0 abc 0\n")

@@ -10,9 +10,14 @@ cannot starve it).  Covered contract:
   traceback, and an oversized body answers 413;
 * a stalled client answers 408 and a header flood 400;
 * concurrent requests trace as a valid span forest;
-* a cold request builds and fingerprints its graph once, and the
-  worker pool (forked at start, so clients still see EOF) returns the
-  in-process results, with one batch in flight per worker;
+* a cold request builds and fingerprints its graph once, in a worker
+  when there are workers: at ``jobs=2`` the server process builds,
+  fingerprints, unpickles and parses nothing, and the worker pool
+  (forked at start, so clients still see EOF) returns the in-process
+  results, with one batch in flight per worker;
+* malformed bodies, equivalent spellings and the cold/warm pair
+  answer alike at ``jobs=1`` and ``jobs=2``;
+* the parse job returns a dict and never raises, on any bytes;
 * the per-request deadline answers 504;
 * the bounded queue answers 429 backpressure;
 * a warm hit is byte-for-byte the same schedule the cold request
@@ -35,6 +40,8 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.scenarios.storm import StormConfig, make_storm, storm_bodies
 from repro.service import ScheduleCache, ScheduleService, ServiceClient, ServiceConfig
@@ -81,7 +88,10 @@ class TestScheduleEndpoint:
             s2, warm = client.post_body(raw)
             return s1, cold, s2, warm, dict(service.stats)
 
-        s1, cold, s2, warm, stats = _serve(body)
+        # In-process and on the worker pool: the same answers.
+        answers = [_serve(body, jobs=jobs) for jobs in (1, 2)]
+        assert answers[1] == answers[0]
+        s1, cold, s2, warm, stats = answers[0]
         assert (s1, s2) == (200, 200)
         assert cold["cached"] is False and warm["cached"] is True
         assert warm["schedule"] == cold["schedule"]
@@ -91,13 +101,16 @@ class TestScheduleEndpoint:
 
     def test_equivalent_spelling_hits_same_cache_entry(self):
         # Different JSON bytes (spec case, axis order), same request
-        # identity: the second must be a cache hit, not a recompute.
+        # identity: the second must be a cache hit, not a recompute,
+        # also when a worker keyed it.
         def body(service, client):
             r1 = client.schedule(GRAPH, 2, "MCP")
             r2 = client.schedule(GRAPH, 2, "mcp")
             return r1, r2, dict(service.stats)
 
-        (s1, cold), (s2, warm), stats = _serve(body)
+        answers = [_serve(body, jobs=jobs) for jobs in (1, 2)]
+        assert answers[1] == answers[0]
+        (s1, cold), (s2, warm), stats = answers[0]
         assert (s1, s2) == (200, 200)
         assert warm["cached"] is True
         assert warm["schedule"] == cold["schedule"]
@@ -143,14 +156,19 @@ class TestErrorContract:
     ])
     def test_malformed_requests_answer_violation_tables(self, raw, code):
         def body(service, client):
-            return client.post_body(raw)
+            return client.post_body(raw), dict(service.stats)
 
-        status, payload = _serve(body)
+        # At jobs=2 the parse error comes home from a worker: the same
+        # table, the same counters.
+        answers = [_serve(body, jobs=jobs) for jobs in (1, 2)]
+        assert answers[1] == answers[0]
+        (status, payload), stats = answers[0]
         assert status == 400
         assert "traceback" not in json.dumps(payload).lower()
         assert payload["violations"], payload
         assert payload["violations"][0]["code"] == code
         assert code in payload["table"] and "CODE" in payload["table"]
+        assert stats["bad_requests"] == 1 and stats["scheduled"] == 0
 
     def test_oversized_body_answers_413(self):
         from repro.service.protocol import MAX_BODY
@@ -178,6 +196,23 @@ class TestErrorContract:
         assert str(MAX_BODY).encode() in payload
         assert stats["bad_requests"] == 1
 
+    def test_pool_failure_answers_500_not_400(self, monkeypatch):
+        # A request the pool could not even parse is the server's
+        # fault, not the client's.
+        from repro.bench.parallel import WorkerPool
+
+        def broken(self, fn, batch):
+            raise RuntimeError("worker died")
+
+        monkeypatch.setattr(WorkerPool, "run_batch", broken)
+
+        def body(service, client):
+            return client.schedule(GRAPH, 2, "mcp"), dict(service.stats)
+
+        (status, payload), stats = _serve(body)
+        assert status == 500 and "worker died" in payload["error"]
+        assert stats["errors"] == 1 and stats["bad_requests"] == 0
+
     def test_bad_request_counts_but_never_kills_the_server(self):
         def body(service, client):
             client.post_body(b"\xff\xfe broken bytes")
@@ -188,6 +223,85 @@ class TestErrorContract:
         status, payload, stats = _serve(body)
         assert status == 200 and payload["length"] > 0
         assert stats["bad_requests"] == 2
+
+
+# ----------------------------------------------------------------------
+# the parse job on hostile input: a dict every time, never an exception
+# ----------------------------------------------------------------------
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner,
+                                     max_size=4)),
+    max_leaves=12)
+
+_NUMBERS = st.integers(-3, 6) | st.floats(-2.0, 8.0) | st.booleans()
+
+#: Mostly well-formed graphs, so that machine and spec errors are
+#: reached too; the wrong types come from the other branches.
+_GRAPHS = st.builds(
+    lambda weights, edges: {"weights": weights,
+                            "edges": [[u % len(weights), v % len(weights), c]
+                                      for u, v, c in edges]},
+    st.lists(st.integers(1, 9), min_size=1, max_size=5),
+    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                       st.integers(0, 5)), max_size=4))
+
+
+@st.composite
+def _request_docs(draw):
+    """JSON objects near the payload schema, with wrong types mixed in."""
+    doc = {}
+    if draw(st.integers(0, 3)):
+        doc["graph"] = draw(_GRAPHS | _JSON | st.fixed_dictionaries(
+            {"weights": st.lists(_NUMBERS | _JSON, max_size=5) | _JSON},
+            optional={"edges": st.lists(st.lists(_NUMBERS | _JSON,
+                                                 max_size=4),
+                                        max_size=5) | _JSON,
+                      "name": _JSON}))
+    if draw(st.booleans()):
+        doc["machine"] = draw(_JSON | st.fixed_dictionaries(
+            {}, optional={"procs": _NUMBERS | _JSON,
+                          "speeds": st.lists(_NUMBERS, max_size=4)
+                          | _JSON}))
+    if draw(st.booleans()):
+        doc["spec"] = draw(_JSON | st.sampled_from(
+            ["mcp", "MCP", "dls", "nope", "",
+             "param:prio=blevel,proc=est", "param:prio=??"]))
+    return doc
+
+
+class TestParseJob:
+    def _check(self, request):
+        import pickle
+
+        from repro import api
+        from repro.service.server import parse_job
+
+        result = parse_job(request)
+        assert isinstance(result, dict)
+        if "error" in result:
+            assert set(result) == {"error", "error_payload"}
+            payload = result["error_payload"]
+            assert payload["violations"], payload
+            assert "CODE" in payload["table"]
+            json.dumps(payload)  # the 400 body encodes
+        else:
+            assert set(result) == {"key", "job"}
+            graph, machine, spec = pickle.loads(result["job"])
+            assert api.request_key(graph, machine, spec) == result["key"]
+
+    @given(st.binary(max_size=200),
+           st.sampled_from(["", "application/json", "text/plain"]))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_bytes(self, body, content_type):
+        self._check((body, content_type))
+
+    @given(_request_docs() | _JSON)
+    @settings(max_examples=300, deadline=None)
+    def test_json_shaped_bodies_with_wrong_types(self, doc):
+        self._check((json.dumps(doc).encode(), "application/json"))
 
 
 # ----------------------------------------------------------------------
@@ -263,7 +377,9 @@ class TestTimeoutsAndBackpressure:
 
 
 # ----------------------------------------------------------------------
-# the one cold path: parse, build and key once; workers only schedule
+# the one cold path: a worker parses, builds, keys and pickles the job
+# once (parse_job), a worker unpickles and schedules it (schedule_cell);
+# the server process only routes bytes, keys and results
 # ----------------------------------------------------------------------
 class TestColdPath:
     def test_cold_request_builds_and_keys_the_graph_once(self,
@@ -291,26 +407,64 @@ class TestColdPath:
         assert status == 200 and payload["cached"] is False
         assert counts == {"builds": 1, "fingerprints": 1}
 
+    def test_server_process_builds_nothing_with_workers(self,
+                                                        monkeypatch):
+        # The counters are patched in after start(), when the workers
+        # are already forked: they count the server process alone.
+        from repro.core.graph import TaskGraph
+        from repro.service import server
+
+        counts: Counter = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        raw = json.dumps({"graph": GRAPH, "machine": 2, "spec": "mcp"},
+                         sort_keys=True).encode()
+
+        def body(service, client):
+            for owner, name in ((TaskGraph, "__init__"),
+                                (TaskGraph, "__setstate__"),
+                                (TaskGraph, "fingerprint"),
+                                (server, "parse_schedule_request")):
+                monkeypatch.setattr(owner, name,
+                                    counting(name, getattr(owner, name)))
+            try:
+                return client.post_body(raw), client.post_body(raw)
+            finally:
+                monkeypatch.undo()
+
+        cold, warm = _serve(body, jobs=2)
+        assert counts == {}
+        in_process = _serve(lambda service, client: client.post_body(raw),
+                            jobs=1)
+        assert cold == in_process
+        assert warm == (200, dict(in_process[1], cached=True))
+
     def test_pool_batch_equals_in_process_results(self):
         from repro import api
         from repro.bench.parallel import WorkerPool
         from repro.service.protocol import schedule_cell
-        from repro.service.server import _parse_and_key
+        from repro.service.server import parse_job
 
         requests = [(GRAPH, 2, "mcp"),
                     (OTHER, 3, "param:prio=blevel,proc=est")]
-        keyed = [_parse_and_key(json.dumps({"graph": g, "machine": m,
-                                            "spec": spec}).encode(),
-                                "application/json")
-                 for g, m, spec in requests]
-        jobs = [job for _key, job in keyed]
+        bodies = [(json.dumps({"graph": g, "machine": m,
+                               "spec": spec}).encode(), "application/json")
+                  for g, m, spec in requests]
+        parsed = [parse_job(request) for request in bodies]
         with WorkerPool(2) as pool:
-            pooled = pool.run_batch(schedule_cell, jobs)
-            assert pool.alive  # the batch crossed into worker processes
-        assert pooled == [schedule_cell(job) for job in jobs]
-        for (g, m, spec), (key, _job), result in zip(requests, keyed,
-                                                      pooled):
-            assert key == api.request_key(g, m, spec)
+            remote = pool.run_batch(parse_job, bodies)
+            pooled = pool.run_batch(schedule_cell,
+                                    [p["job"] for p in remote])
+            assert pool.alive  # the batches crossed into worker processes
+        assert [p["key"] for p in remote] == [p["key"] for p in parsed]
+        assert pooled == [schedule_cell(p["job"]) for p in parsed]
+        for (g, m, spec), p, result in zip(requests, parsed, pooled):
+            assert p["key"] == api.request_key(g, m, spec)
             assert result["spec"] == api.spec_fingerprint(spec)
             assert result["length"] == api.schedule(g, m, spec).length
 
@@ -387,11 +541,12 @@ def _slow_cell(job):
     """Pool worker stand-in for ``schedule_cell``: holds its worker for
     a while and reports where and when it ran (module-level: pickles)."""
     import os
+    import pickle
     import time
 
     start = time.monotonic()
     time.sleep(0.6)
-    return {"spec": job[2], "length": 0.0, "schedule": {},
+    return {"spec": pickle.loads(job)[2], "length": 0.0, "schedule": {},
             "pid": os.getpid(), "ran": [start, time.monotonic()]}
 
 
