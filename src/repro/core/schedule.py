@@ -152,6 +152,10 @@ class Schedule:
         """Placements on ``proc`` in start-time order."""
         return [self._placements[n] for n in self._nodes[proc]]
 
+    def nodes_on(self, proc: int) -> List[int]:
+        """Node ids on ``proc`` in start-time order (a fresh list)."""
+        return list(self._nodes[proc])
+
     def proc_ready_time(self, proc: int) -> float:
         """Finish time of the last task on ``proc`` (0 when idle)."""
         fins = self._finishes[proc]
@@ -388,7 +392,8 @@ class Schedule:
     # rendering
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[int, Tuple[int, float, float]]:
-        """``{node: (proc, start, finish)}`` snapshot (for tests/reports)."""
+        """``{node: (proc, start, finish)}`` snapshot in placement order
+        (for tests/reports)."""
         return {
             n: (pl.proc, pl.start, pl.finish)
             for n, pl in self._placements.items()

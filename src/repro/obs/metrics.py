@@ -13,8 +13,8 @@ Counter names form a small registry (see DESIGN.md "Observability"):
 ``kernel.profiles``    arrival profiles built
 ``sched.heap_pops``    successful lazy-heap pops
 ``sched.insertion_holes``  hole-filled placements (ISH-style back-fill)
-``sim.events``         static-replay heap events popped
-``online.events``      online-engine heap events popped
+``sim.events``         heap events popped replaying static schedules
+``online.events``      heap events popped in online runs
 ``online.replans``     accepted replan directives
 ``online.migrations``  pending tasks moved between processors by replans
 ``store.cache_hits``   grid cells served from a ResultStore (local)

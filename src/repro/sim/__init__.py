@@ -6,8 +6,10 @@ per-processor orders, recomputed start times — under stochastic
 runtime models, and measures how the predictions (and the paper's
 rankings) hold up:
 
-* :mod:`repro.sim.engine` — the heap-based event loop replaying one
-  schedule (task-finish / message-arrival events);
+* :mod:`repro.sim.engine` — the one heap-based event loop
+  (task-finish / message-arrival events) and its policy protocol;
+  :func:`simulate` runs it with a policy that replays one schedule and
+  never replans;
 * :mod:`repro.sim.perturb` — pluggable noise: duration noise
   (uniform/normal/lognormal), per-processor speed jitter,
   message-latency noise, all from a seeded ``numpy.Generator``;
@@ -18,10 +20,11 @@ rankings) hold up:
   degradation vs prediction, schedule slack, robustness rankings;
 * :mod:`repro.sim.bench` — ``SimConfig`` + the parallel, persisted,
   resumable sim grid (cells cached by combined bench|sim fingerprint);
-* :mod:`repro.sim.online` — the event-driven *online* engine: mutable
-  queues, placement directives, information modes (``exact`` / ``mean``
-  / ``blind`` / ``user``) and the predictive-reactive
-  ``online:<spec>`` schedulers that replan when reality deviates.
+* :mod:`repro.sim.online` — *online* execution: the same loop under
+  policies that replan through placement directives, information modes
+  (``exact`` / ``mean`` / ``blind`` / ``user``) and the
+  predictive-reactive ``online:<spec>`` schedulers that replan when
+  reality deviates.
 
 >>> from repro import Machine, get_scheduler
 >>> from repro.generators.random_graphs import rgnos_graph

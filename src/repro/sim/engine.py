@@ -1,37 +1,45 @@
-"""The discrete-event engine: *execute* a static schedule.
+"""The discrete-event engine: one event loop, driven by a policy.
 
 The paper ranks schedulers by the makespan their schedules *predict*;
-this engine measures the makespan a schedule *achieves* when durations
-and message latencies deviate from the prediction.  The replay contract
-is the standard one for static schedules (estee's fixed-assignment
-mode): the task-to-processor mapping and each processor's execution
-order are kept exactly as scheduled, while every start time is
-recomputed eagerly — a task starts the moment its processor is free,
-it is next in the processor's sequence, and all its input data has
-arrived.
+this engine measures the makespan a placement *achieves* when
+durations and message latencies deviate from the prediction.  One loop
+serves two policies:
+
+* :func:`simulate` executes a static schedule — estee's
+  fixed-assignment mode: the task-to-processor mapping and each
+  processor's execution order stay exactly as scheduled, because the
+  replay policy hands the loop the schedule's per-processor sequences
+  and never replans;
+* :func:`repro.sim.online.simulate_online` drives an
+  :class:`OnlinePolicy` that may replace the queues of not-yet-started
+  tasks on every event.
+
+Either way start times are never dictated: a task starts the moment
+its processor is free, it heads the processor's queue, and all its
+input data has arrived.  The policy decides *where* and *in what
+order*, the clock decides *when*.
 
 The loop is a single binary heap of timestamped events:
 
 * **task-finish** — the running task on a processor completes: record
   its executed interval, hand each outgoing edge to the network backend
-  (same-processor data is available immediately), and try to start the
-  processor's next task;
+  (data for a consumer queued on the same processor is available
+  immediately), and try to start the processor's next task;
 * **message-arrival** — an inter-processor transfer completes at the
   destination: mark the input satisfied and try to start the waiting
   task.
 
-Task *starts* need no event of their own: a task becomes startable only
-while handling one of the two events above, at exactly the current
-simulation time.  Ties are broken by event insertion order, which is
-itself deterministic, so a trial is a pure function of ``(schedule,
-perturbation draw, network backend)``.
+Task *starts* need no event of their own: a task becomes startable
+only while handling one of the two events above (or a replan), at
+exactly the current simulation time.  Ties are broken by event
+insertion order, which is itself deterministic, so a trial is a pure
+function of ``(policy, perturbation draw, network backend)``.
 
-Because the combined order (precedence edges + per-processor sequence
-edges) is topologically sorted by the original start times, replay can
-never deadlock, whatever the noise does to durations.
-
-Under :data:`~repro.sim.perturb.DETERMINISTIC` noise and the
-:func:`~repro.sim.netmodel.replay_network` backend, the executed
+Because a static schedule's combined order (precedence edges +
+per-processor sequence edges) is topologically sorted by the original
+start times, replay can never deadlock, whatever the noise does to
+durations.  Under :data:`~repro.sim.perturb.DETERMINISTIC` noise and
+the :func:`~repro.sim.netmodel.replay_network` backend, the executed
 timeline equals the static schedule placement-for-placement — the
 differential anchor the sim test-suite pins on the golden corpus.
 """
@@ -39,11 +47,14 @@ differential anchor the sim test-suite pins on the golden corpus.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..check import sanitize as _sanitize
 from ..core.exceptions import ScheduleError
+from ..core.graph import TaskGraph
+from ..core.machine import Machine
 from ..core.rng import SeedLike, as_generator
 from ..core.schedule import Schedule, Violation, render_violations
 from ..obs import metrics as _metrics
@@ -51,10 +62,54 @@ from ..obs import trace as _trace
 from .netmodel import NetworkModel, replay_network
 from .perturb import DETERMINISTIC, PerturbationModel
 
-__all__ = ["SimResult", "percent_degradation", "simulate"]
+__all__ = ["OnlinePolicy", "SimResult", "percent_degradation", "simulate"]
 
-_FINISH = 0
-_ARRIVAL = 1
+#: The producer slot of a task-finish heap event (arrivals carry the
+#: producer's node id there).
+_FINISH = -1
+
+#: A directive: for every processor, its queue of not-yet-started tasks.
+Directives = List[List[int]]
+
+
+class OnlinePolicy:
+    """What the event loop talks to.
+
+    Event methods may return new placement :data:`Directives` (every
+    unstarted task, exactly once, in its processor's intended order) or
+    ``None`` to keep the current queues.  The engine invokes them with
+    *observed* facts only — task identities, processors, and actual
+    event times; policies wanting cost estimates must bring their own
+    observed view (see :mod:`repro.sim.online.imodes`).  A callback a
+    subclass does not override is never called.
+    """
+
+    #: Makespan this policy expected before execution started; the
+    #: engine copies it into the result's ``predicted``.
+    predicted: float = 0.0
+
+    def begin(self, machine: Machine) -> Directives:
+        """Initial queues before the clock starts; must be complete."""
+        raise NotImplementedError
+
+    def task_started(self, node: int, proc: int,
+                     now: float) -> Optional[Directives]:
+        """``node`` began executing on ``proc`` at ``now``."""
+        return None
+
+    def task_finished(self, node: int, proc: int,
+                      now: float) -> Optional[Directives]:
+        """``node`` completed on ``proc`` at ``now``."""
+        return None
+
+    def message_arrived(self, src: int, dst: int, proc: int,
+                        now: float) -> Optional[Directives]:
+        """The edge ``src -> dst``'s data reached ``proc`` at ``now``."""
+        return None
+
+    def worker_idle(self, proc: int, now: float) -> Optional[Directives]:
+        """``proc`` has nothing startable at ``now``."""
+        return None
 
 
 def _resolve_edge(missing: List[int], ready_time: List[float],
@@ -63,9 +118,7 @@ def _resolve_edge(missing: List[int], ready_time: List[float],
 
     Decrements the outstanding-input count and advances the child's
     data-ready time; returns ``True`` when the last input just landed
-    (the caller may then try to start the child's processor).  Shared
-    by the static replay loop below and the online engine
-    (:mod:`repro.sim.online`), so the two agree on edge bookkeeping.
+    (the caller may then try to start the child's processor).
     """
     missing[child] -= 1
     if when > ready_time[child]:
@@ -73,21 +126,21 @@ def _resolve_edge(missing: List[int], ready_time: List[float],
     return missing[child] == 0
 
 
-def _stall_violations(graph, executed: Schedule, sequences: List[List[int]],
-                      next_idx: List[int]) -> List[Violation]:
-    """Diagnose a stalled replay: who is blocked, on which inputs.
+def _stall_violations(graph: TaskGraph, executed: Schedule,
+                      queues: List[List[int]]) -> List[Violation]:
+    """Diagnose a stalled run: who is blocked, on which inputs.
 
     At stall time the event heap is empty, so every finished task has
     delivered all its edges — a head task's outstanding inputs are
     exactly its predecessors that never executed.
     """
-    done = {v for v in range(graph.num_nodes) if executed.is_scheduled(v)}
     violations = []
-    for p, seq in enumerate(sequences):
-        if next_idx[p] >= len(seq):
+    for p, queue in enumerate(queues):
+        if not queue:
             continue
-        head = seq[next_idx[p]]
-        waiting = [u for u in graph.pred_pairs(head)[0] if u not in done]
+        head = queue[0]
+        waiting = [u for u in graph.pred_pairs(head)[0]
+                   if not executed.is_scheduled(u)]
         violations.append(Violation(
             code="stalled",
             message=f"head task waits on unexecuted predecessor(s) "
@@ -115,7 +168,7 @@ def percent_degradation(executed: float, predicted: float,
 
 @dataclass
 class SimResult:
-    """One executed trial of a static schedule.
+    """One executed trial.
 
     ``schedule`` is the executed timeline — a real
     :class:`~repro.core.schedule.Schedule` (with per-task duration
@@ -134,6 +187,17 @@ class SimResult:
         (see :func:`percent_degradation`)."""
         return percent_degradation(self.makespan, self.predicted,
                                    self.schedule.graph.num_nodes)
+
+
+class _Replay(OnlinePolicy):
+    """A static schedule as a policy: its sequences, never a replan."""
+
+    def __init__(self, schedule: Schedule):
+        self.schedule = schedule
+
+    def begin(self, machine: Machine) -> Directives:
+        return [self.schedule.nodes_on(p)
+                for p in range(self.schedule.num_procs)]
 
 
 def simulate(schedule: Schedule,
@@ -165,7 +229,14 @@ def simulate(schedule: Schedule,
         raise ScheduleError("can only simulate a complete schedule")
     with _trace.span("sim.run", graph=schedule.graph.name,
                      label=label or "") as sp:
-        result = _replay(schedule, perturb, network, rng)
+        executed, num_events, _ = _execute(
+            schedule.graph, Machine(schedule.num_procs, schedule.speeds),
+            _Replay(schedule), perturb,
+            network if network is not None else replay_network(schedule),
+            rng, "replay stalled before completing the schedule "
+                 "(inconsistent processor sequences)")
+    result = SimResult(schedule=executed, predicted=schedule.length,
+                       makespan=executed.length, num_events=num_events)
     if sp is not None:
         sp.args["events"] = result.num_events
     _metrics.incr("sim.events", result.num_events)
@@ -180,57 +251,171 @@ def simulate(schedule: Schedule,
     return result
 
 
-def _replay(schedule: Schedule, perturb: PerturbationModel,
-            network: Optional[NetworkModel], rng: SeedLike) -> SimResult:
-    """The replay loop behind :func:`simulate` (input already valid)."""
-    graph = schedule.graph
+def _execute(graph: TaskGraph, machine: Machine, policy: OnlinePolicy,
+            perturb: PerturbationModel, net: NetworkModel, rng: SeedLike,
+            stalled: str
+            ) -> Tuple[Schedule, int, List[Tuple[float, str, int]]]:
+    """The event loop behind :func:`simulate` and ``simulate_online``.
+
+    Returns the executed timeline, the number of heap events popped and
+    the replan log (see ``OnlineResult.replan_log``).  A run that ends
+    with tasks still queued raises :class:`ScheduleError` with the
+    message ``stalled`` and a table of the blocked queue heads.
+
+    The engine enforces the complete-plan contract: after every
+    directive, each unstarted task sits in exactly one queue.  This is
+    what lets communication be charged eagerly — data is pushed at the
+    producer's finish to wherever the consumer is assigned *at that
+    moment*.  A later replan may still move the consumer: remote sends
+    stay exact under the distance-invariant transports online runs
+    accept (instant / fixed-delay clique); zero-cost *local* handoffs
+    are re-charged at the consumer's actual start when it ended up
+    elsewhere (the data is sent for real, from the producer's finish);
+    and a consumer moving *back* onto a producer's processor keeps the
+    already-charged remote latency — a conservative, never-invalid
+    overcharge.
+    """
     n = graph.num_nodes
-    num_procs = schedule.num_procs
+    num_procs = machine.num_procs
     noise = perturb.begin_trial(as_generator(rng), n, num_procs)
-    net = network if network is not None else replay_network(schedule)
     net.reset()
 
-    # Static replay state, all derived from the input schedule.
-    proc_of = [schedule.proc_of(v) for v in range(n)]
-    sequences: List[List[int]] = [
-        [pl.node for pl in schedule.tasks_on(p)] for p in range(num_procs)
-    ]
+    # Bound once per run; a callback the policy's class leaves as the
+    # base no-op is None and never called.
+    on_started, on_finished, on_arrived, on_idle = [
+        None if getattr(type(policy), name) is getattr(OnlinePolicy, name)
+        else getattr(policy, name)
+        for name in ("task_started", "task_finished", "message_arrived",
+                     "worker_idle")]
+
     missing = [graph.in_degree(v) for v in range(n)]
     ready_time = [0.0] * n          # latest input arrival so far
-    next_idx = [0] * len(sequences)  # head of each processor's sequence
     proc_free = [0.0] * num_procs
     running = [False] * num_procs
+    # Each node's processor: its queue's while pending, its own once
+    # started (a started task is never re-queued).
+    assigned = [-1] * n
+    # Each processor's queue; its unstarted tasks begin at head[p].
+    pending: List[List[int]] = []
+    head: List[int] = []
+    # Edges delivered as zero-cost local handoffs (consumer co-located
+    # with the producer at its finish).  A later replan may still move
+    # the consumer, and then the transfer is real after all — try_start
+    # re-charges it against the consumer's final processor.
+    local_srcs: List[List[int]] = [[] for _ in range(n)]
 
-    executed = Schedule(graph, num_procs, speeds=schedule.speeds)
-    heap: List[tuple] = []  # (time, insertion seq, kind, payload)
-    seq_counter = 0
+    executed = Schedule(graph, num_procs, speeds=machine.speeds)
+    replan_log: List[Tuple[float, str, int]] = []
+    # (time, insertion seq, producer or _FINISH, node): the finish of
+    # node, or the arrival of its input from producer.
+    heap: List[Tuple[float, int, int, int]] = []
+    push = heapq.heappush
+    seq = itertools.count()
     num_events = 0
 
-    def push(time: float, kind: int, payload: int) -> None:
-        nonlocal seq_counter
-        heapq.heappush(heap, (time, seq_counter, kind, payload))
-        seq_counter += 1
+    def apply(directives: Optional[Directives]) -> Optional[int]:
+        """Swap in a policy's new queues; enforce the complete plan.
 
-    def try_start(p: int) -> None:
-        if running[p] or next_idx[p] >= len(sequences[p]):
+        Returns the number of pending tasks the directive *migrated*
+        (moved to a different processor than their previous
+        assignment), or ``None`` when the policy stood pat.
+        """
+        if directives is None:
+            return None
+        if len(directives) != num_procs:
+            raise ScheduleError(
+                f"online policy returned {len(directives)} queue(s) for "
+                f"{num_procs} processor(s)")
+        seen = set()
+        moved = 0
+        queues: List[List[int]] = []
+        for p, nodes in enumerate(directives):
+            queue = []
+            for node in nodes:
+                if executed.is_scheduled(node):
+                    raise ScheduleError(
+                        f"online policy re-queued task {node}, which "
+                        "already started")
+                if node in seen:
+                    raise ScheduleError(
+                        f"online policy queued task {node} twice")
+                seen.add(node)
+                if 0 <= assigned[node] != p:
+                    moved += 1
+                assigned[node] = p
+                queue.append(node)
+            queues.append(queue)
+        unstarted = n - executed.num_scheduled
+        if len(seen) != unstarted:
+            left_out = sorted(v for v in range(n)
+                              if not executed.is_scheduled(v)
+                              and v not in seen)
+            raise ScheduleError(
+                f"online policy left task(s) {left_out} unqueued — the "
+                "engine requires a complete plan after every directive")
+        pending[:] = queues
+        head[:] = [0] * num_procs
+        return moved
+
+    def notify(directives: Optional[Directives], now: float,
+               cause: str) -> None:
+        """Apply an event reply; every accepted directive is a replan.
+
+        A replan can hand startable work to *any* processor — e.g.
+        move a blocked head off one queue onto an idle machine — so an
+        accepted directive re-tries every processor, not just the one
+        the triggering event touched.  ``cause`` names the policy
+        callback that produced the directive; it is recorded with the
+        migration count in the replan log.
+        """
+        moved = apply(directives)
+        if moved is not None:
+            replan_log.append((now, cause, moved))
+            for q in range(num_procs):
+                try_start(q, now)
+
+    def try_start(p: int, now: float) -> None:
+        queue, i = pending[p], head[p]
+        if running[p] or i == len(queue):
             return
-        node = sequences[p][next_idx[p]]
+        node = queue[i]
         if missing[node]:
             return
-        start = max(proc_free[p], ready_time[node])
-        duration = noise.duration(node, p, schedule.duration_of(node, p))
+        # Event-triggered starts always have now == the last blocker
+        # clearing, so the clamp only bites on post-replan sweeps: a
+        # task whose inputs landed while it was queued elsewhere cannot
+        # start before the decision that moved it was made.
+        start = max(proc_free[p], ready_time[node], now)
+        for src in local_srcs[node]:
+            if assigned[src] != p:
+                # The handoff was local when the producer finished, but
+                # a replan moved the consumer since — send the data for
+                # real, from the producer's finish.
+                arrival, msg = net.arrival(
+                    src, node, assigned[src], p, executed.finish_of(src),
+                    graph.comm_cost(src, node), noise.comm_factor())
+                if msg is not None:
+                    executed.record_message(msg)
+                if arrival > start:
+                    start = arrival
+        duration = noise.duration(node, p, executed.duration_of(node, p))
         executed.place(node, p, start, duration=duration)
+        head[p] = i + 1
         running[p] = True
-        next_idx[p] += 1
-        push(start + duration, _FINISH, node)
+        push(heap, (start + duration, next(seq), _FINISH, node))
+        if on_started is not None:
+            notify(on_started(node, p, start), start, "task_started")
 
+    apply(policy.begin(machine))
     for p in range(num_procs):
-        try_start(p)
+        try_start(p, 0.0)
+        if on_idle is not None and not running[p]:
+            notify(on_idle(p, 0.0), 0.0, "worker_idle")
 
     sanitizing = _sanitize.enabled()
     last_now = 0.0
     while heap:
-        now, _, kind, payload = heapq.heappop(heap)
+        now, _, src, node = heapq.heappop(heap)
         num_events += 1
         if sanitizing:
             # Event-heap monotonicity: a pop that travels back in time
@@ -239,20 +424,22 @@ def _replay(schedule: Schedule, perturb: PerturbationModel,
                 now >= last_now - 1e-9,
                 f"event heap popped time {now!r} after {last_now!r}")
             last_now = now
-        if kind == _FINISH:  # repro: noqa-RPR005 integer event-kind tag, not a time
-            node, p = payload, proc_of[payload]
+        if src == _FINISH:  # repro: noqa-RPR005 integer event tag, not a time
+            p = assigned[node]
             running[p] = False
             proc_free[p] = now
+            if on_finished is not None:
+                notify(on_finished(node, p, now), now, "task_finished")
             children, costs = graph.succ_pairs(node)
             for child, cost in zip(children, costs):
-                dst = proc_of[child]
+                dst = assigned[child]
                 if dst == p:
-                    # Local data is available immediately; no event
-                    # needed — resolve in place.  Starting the child is
-                    # left to the single trailing try_start(p): dst == p
-                    # here, so the head is re-tried exactly once per
-                    # finish event.
+                    # Local handoff under the current assignment; no
+                    # event needed.  Starting the child is left to the
+                    # single trailing try_start(p), so the head is
+                    # re-tried exactly once per finish event.
                     _resolve_edge(missing, ready_time, child, now)
+                    local_srcs[child].append(node)
                 else:
                     # Every cross-processor edge goes through the
                     # backend, zero-cost ones included: a backend with
@@ -264,22 +451,22 @@ def _replay(schedule: Schedule, perturb: PerturbationModel,
                                                cost, factor)
                     if msg is not None:
                         executed.record_message(msg)
-                    push(arrival, _ARRIVAL, child)
-            try_start(p)
-        else:  # _ARRIVAL
-            child = payload
-            if _resolve_edge(missing, ready_time, child, now):
-                try_start(proc_of[child])
+                    push(heap, (arrival, next(seq), node, child))
+            try_start(p, now)
+            if on_idle is not None and not running[p]:
+                notify(on_idle(p, now), now, "worker_idle")
+        else:  # node's input from src arrived
+            if on_arrived is not None:
+                notify(on_arrived(src, node, assigned[node], now),
+                       now, "message_arrived")
+            if _resolve_edge(missing, ready_time, node, now):
+                try_start(assigned[node], now)
 
+    # notify and try_start call each other; unbinding them frees the
+    # run's state now instead of at the next cycle collection.
+    del notify, try_start
     if not executed.is_complete():
-        table = render_violations(
-            _stall_violations(graph, executed, sequences, next_idx))
-        raise ScheduleError(
-            "replay stalled before completing the schedule "
-            "(inconsistent processor sequences):\n" + table)
-    return SimResult(
-        schedule=executed,
-        predicted=schedule.length,
-        makespan=executed.length,
-        num_events=num_events,
-    )
+        table = render_violations(_stall_violations(
+            graph, executed, [q[h:] for q, h in zip(pending, head)]))
+        raise ScheduleError(f"{stalled}:\n{table}")
+    return executed, num_events, replan_log

@@ -14,8 +14,9 @@ the simulator *charges*:
 * :mod:`repro.sim.online.spec` — the ``online:`` spec grammar
   (component axes + ``imode`` + ``seed``) accepted by
   :func:`repro.get_scheduler` and the scenario engine;
-* :mod:`repro.sim.online.engine` — the event-driven protocol
-  (:class:`OnlinePolicy`) and loop (:func:`simulate_online`);
+* :mod:`repro.sim.online.engine` — :func:`simulate_online`, which runs
+  the simulator's one event loop (:mod:`repro.sim.engine`) under a
+  replanning :class:`OnlinePolicy`;
 * :mod:`repro.sim.online.scheduler` — the predictive-reactive policy
   porting the six BNP designs online (plan from the observed graph,
   replan when an observed event deviates from the plan), plus the

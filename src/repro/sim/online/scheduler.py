@@ -41,7 +41,8 @@ from ...core.machine import Machine, NetworkMachine
 from ...core.rng import derive_rng
 from ...core.schedule import Schedule
 from ...obs import trace as _trace
-from .engine import Directives, OnlinePolicy, simulate_online
+from ..engine import Directives, OnlinePolicy
+from .engine import simulate_online
 from .imodes import observe
 from .spec import OnlineSchedulerSpec
 

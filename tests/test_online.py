@@ -227,6 +227,19 @@ class TestOnlineEngine:
         assert a.trace == b.trace
         assert a.num_events == b.num_events
 
+    def test_routed_network_refused_up_front(self):
+        # Messages are routed at the producer's finish; a replan that
+        # moves the consumer afterwards would leave the route ending on
+        # its old processor (route-endpoints violations).
+        from repro.network.topology import Topology
+        from repro.sim import ContentionNetwork
+
+        with pytest.raises(ValueError, match="contention network"):
+            simulate_online(
+                rgnos_graph(30, 1.0, 3, seed=0), Machine(4), "online:mcp",
+                perturb=PerturbationModel.lognormal(0.3),
+                network=ContentionNetwork(Topology.ring(4)), rng=0)
+
     def test_degradation_contract(self):
         g = rgnos_graph(10, 1.0, 2, seed=2)
         res = simulate_online(g, Machine(2), parse_online_spec("online:mcp"))

@@ -18,6 +18,8 @@ cannot starve it).  Covered contract:
 * malformed bodies, equivalent spellings and the cold/warm pair
   answer alike at ``jobs=1`` and ``jobs=2``;
 * the parse job returns a dict and never raises, on any bytes;
+* ``read_request`` answers ``None`` or a ``Request`` and never raises,
+  on any bytes, and flags ``oversized`` exactly past ``MAX_BODY``;
 * the per-request deadline answers 504;
 * the bounded queue answers 429 backpressure;
 * a warm hit is byte-for-byte the same schedule the cold request
@@ -302,6 +304,95 @@ class TestParseJob:
     @settings(max_examples=300, deadline=None)
     def test_json_shaped_bodies_with_wrong_types(self, doc):
         self._check((json.dumps(doc).encode(), "application/json"))
+
+
+def _read(data: bytes):
+    """``read_request`` over a stream holding ``data`` then EOF."""
+    from repro.service.protocol import read_request
+
+    async def scenario():
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        return await read_request(reader)
+
+    return asyncio.run(scenario())
+
+
+_HEADER_NAMES = st.sampled_from(
+    ["Content-Length", "content-length", " CONTENT-LENGTH ", "Host",
+     "Content-Type", "X-Pad"])
+_HEADER_VALUES = (
+    st.integers(-3, 3).map(str)
+    | st.integers(-(2 ** 70), 2 ** 70).map(str)
+    | st.sampled_from([str(64 * 2 ** 20 + d) for d in (-1, 0, 1)])
+    | st.sampled_from(["", " 5 ", "+2", "1_0", "abc", "1e3", "0x10", "½"])
+    | st.text(st.characters(codec="latin-1", exclude_characters="\r\n"),
+              max_size=12))
+
+
+@st.composite
+def _header_shaped(draw):
+    """A request line, header lines and a body, plus the header list."""
+    eol = draw(st.sampled_from(["\r\n", "\n"]))
+    line = draw(st.sampled_from(
+        ["POST /schedule HTTP/1.1", "get / HTTP/1.0", "POST /x", "BREW",
+         ""]))
+    headers = draw(st.lists(st.tuples(_HEADER_NAMES, _HEADER_VALUES),
+                            max_size=6))
+    head = line + eol + "".join(f"{k}:{v}{eol}" for k, v in headers)
+    # Without the blank line the headers end at EOF, with no body.
+    body = b""
+    if draw(st.booleans()):
+        head += eol
+        body = draw(st.binary(max_size=40))
+    return head.encode("latin-1") + body, line, headers, body
+
+
+class TestReadRequest:
+    """``read_request`` answers ``None`` or a ``Request``, never raises,
+    and flags ``oversized`` exactly when Content-Length > MAX_BODY."""
+
+    @given(st.binary(max_size=300))
+    @settings(max_examples=500, deadline=None)
+    def test_arbitrary_bytes(self, data):
+        from repro.service.protocol import MAX_BODY, Request
+
+        req = _read(data)
+        assert req is None or isinstance(req, Request)
+        if req is not None:
+            length = int(req.headers.get("content-length", "0") or "0")
+            assert req.oversized == (length > MAX_BODY)
+
+    @given(_header_shaped())
+    @settings(max_examples=500, deadline=None)
+    def test_header_shaped_lines(self, case):
+        from repro.service.protocol import MAX_BODY
+
+        data, line, headers, body = case
+        req = _read(data)
+        if len(line.split()) < 2:
+            assert req is None
+            return
+        value = "0"
+        for name, raw in headers:
+            if name.strip().lower() == "content-length":
+                value = raw.strip()
+        try:
+            length = int(value or "0")
+        except ValueError:
+            assert req is None  # unparseable Content-Length
+            return
+        if length > MAX_BODY:
+            assert req is not None and req.oversized and req.body == b""
+        elif length < 0:
+            assert req is not None and not req.oversized
+            assert req.body == b""
+        elif length > len(body):
+            assert req is None  # the stream ended inside the body
+        else:
+            assert req is not None and not req.oversized
+            assert req.body == body[:length]
 
 
 # ----------------------------------------------------------------------

@@ -17,8 +17,16 @@ the production code, and the executor must match them:
 
 (The golden corpus JSON files additionally pin MD, DCP, BU and BSA
 end-to-end, since all four time through this executor.)
+
+The discrete-event simulator's static replay went the same way: it is
+now the online event loop under a policy that never replans.  A
+verbatim copy of the dedicated replay loop it replaced lives here too,
+and :func:`repro.sim.simulate` must match it bit for bit — placements,
+executed durations, message records and event counts — on the golden
+corpus under every noise model, network backend and machine model.
 """
 
+import heapq
 import random
 
 import pytest
@@ -30,9 +38,22 @@ from repro.algorithms.mapping import (
     simulate_fixed_sequences,
 )
 from repro.algorithms.unc import dcp, md
+from repro.check import sanitize as _sanitize
 from repro.core.exceptions import ScheduleError
-from repro.core.schedule import Schedule
+from repro.core.rng import as_generator
+from repro.core.schedule import Schedule, Violation, render_violations
 from repro.network.contention import LinkSchedule
+from repro.sim import (
+    DETERMINISTIC,
+    ContentionNetwork,
+    Dist,
+    FixedDelayNetwork,
+    InstantNetwork,
+    PerturbationModel,
+    replay_network,
+    simulate,
+)
+from repro.sim.engine import SimResult
 
 
 def _reference_fixed_order(graph, topology, sequences):
@@ -252,3 +273,231 @@ def test_clique_retry_matches_on_inverted_sequences(monkeypatch):
         ref = _reference_simulate_fixed_sequences(graph, trial, num_procs)
         assert ours.to_dict() == ref.to_dict(), graph.name
     assert inverted > 0
+
+
+# ----------------------------------------------------------------------
+# static replay: the dedicated loop simulate() ran before it became the
+# online loop under a never-replanning policy, with its helpers
+# ----------------------------------------------------------------------
+_FINISH = 0
+_ARRIVAL = 1
+
+
+def _resolve_edge(missing, ready_time, child, when):
+    missing[child] -= 1
+    if when > ready_time[child]:
+        ready_time[child] = when
+    return missing[child] == 0
+
+
+def _stall_violations(graph, executed, sequences, next_idx):
+    done = {v for v in range(graph.num_nodes) if executed.is_scheduled(v)}
+    violations = []
+    for p, seq in enumerate(sequences):
+        if next_idx[p] >= len(seq):
+            continue
+        head = seq[next_idx[p]]
+        waiting = [u for u in graph.pred_pairs(head)[0] if u not in done]
+        violations.append(Violation(
+            code="stalled",
+            message=f"head task waits on unexecuted predecessor(s) "
+                    f"{waiting}",
+            node=head, proc=p))
+    return violations
+
+
+def _reference_replay(schedule, perturb, network, rng):
+    """The pre-merge replay loop, preserved as the reference."""
+    graph = schedule.graph
+    n = graph.num_nodes
+    num_procs = schedule.num_procs
+    noise = perturb.begin_trial(as_generator(rng), n, num_procs)
+    net = network if network is not None else replay_network(schedule)
+    net.reset()
+
+    # Static replay state, all derived from the input schedule.
+    proc_of = [schedule.proc_of(v) for v in range(n)]
+    sequences = [
+        [pl.node for pl in schedule.tasks_on(p)] for p in range(num_procs)
+    ]
+    missing = [graph.in_degree(v) for v in range(n)]
+    ready_time = [0.0] * n          # latest input arrival so far
+    next_idx = [0] * len(sequences)  # head of each processor's sequence
+    proc_free = [0.0] * num_procs
+    running = [False] * num_procs
+
+    executed = Schedule(graph, num_procs, speeds=schedule.speeds)
+    heap = []  # (time, insertion seq, kind, payload)
+    seq_counter = 0
+    num_events = 0
+
+    def push(time, kind, payload):
+        nonlocal seq_counter
+        heapq.heappush(heap, (time, seq_counter, kind, payload))
+        seq_counter += 1
+
+    def try_start(p):
+        if running[p] or next_idx[p] >= len(sequences[p]):
+            return
+        node = sequences[p][next_idx[p]]
+        if missing[node]:
+            return
+        start = max(proc_free[p], ready_time[node])
+        duration = noise.duration(node, p, schedule.duration_of(node, p))
+        executed.place(node, p, start, duration=duration)
+        running[p] = True
+        next_idx[p] += 1
+        push(start + duration, _FINISH, node)
+
+    for p in range(num_procs):
+        try_start(p)
+
+    sanitizing = _sanitize.enabled()
+    last_now = 0.0
+    while heap:
+        now, _, kind, payload = heapq.heappop(heap)
+        num_events += 1
+        if sanitizing:
+            # Event-heap monotonicity: a pop that travels back in time
+            # means heap entries (or their timestamps) were corrupted.
+            _sanitize.require(
+                now >= last_now - 1e-9,
+                f"event heap popped time {now!r} after {last_now!r}")
+            last_now = now
+        if kind == _FINISH:  # repro: noqa-RPR005 integer event-kind tag, not a time
+            node, p = payload, proc_of[payload]
+            running[p] = False
+            proc_free[p] = now
+            children, costs = graph.succ_pairs(node)
+            for child, cost in zip(children, costs):
+                dst = proc_of[child]
+                if dst == p:
+                    # Local data is available immediately; no event
+                    # needed — resolve in place.  Starting the child is
+                    # left to the single trailing try_start(p): dst == p
+                    # here, so the head is re-tried exactly once per
+                    # finish event.
+                    _resolve_edge(missing, ready_time, child, now)
+                else:
+                    # Every cross-processor edge goes through the
+                    # backend, zero-cost ones included: a backend with
+                    # per-message latency charges them too (the clique
+                    # default adds nothing, keeping zero-noise replay
+                    # exact).
+                    factor = noise.comm_factor()
+                    arrival, msg = net.arrival(node, child, p, dst, now,
+                                               cost, factor)
+                    if msg is not None:
+                        executed.record_message(msg)
+                    push(arrival, _ARRIVAL, child)
+            try_start(p)
+        else:  # _ARRIVAL
+            child = payload
+            if _resolve_edge(missing, ready_time, child, now):
+                try_start(proc_of[child])
+
+    if not executed.is_complete():
+        table = render_violations(
+            _stall_violations(graph, executed, sequences, next_idx))
+        raise ScheduleError(
+            "replay stalled before completing the schedule "
+            "(inconsistent processor sequences):\n" + table)
+    return SimResult(
+        schedule=executed,
+        predicted=schedule.length,
+        makespan=executed.length,
+        num_events=num_events,
+    )
+
+
+_NOISE = {
+    "deterministic": (DETERMINISTIC, (None,)),
+    "lognormal": (PerturbationModel.lognormal(0.3), (0, 1, 2)),
+    "uniform+comm": (PerturbationModel(duration=Dist("uniform", 0.5),
+                                       speed=Dist("lognormal", 0.2),
+                                       comm=Dist("lognormal", 0.4)),
+                     (3, 4, 5)),
+}
+
+# Each network builder takes the topology matching the schedule's
+# processor count (only the contention backend routes over it).
+_NETWORKS = {
+    "replay": lambda topo: None,
+    "instant": lambda topo: InstantNetwork(),
+    "fixed-latency": lambda topo: FixedDelayNetwork(scale=1.5, latency=0.7),
+    "contention": ContentionNetwork,
+}
+
+
+def _replay_cases():
+    """(schedule, topology) pairs over the golden corpus: MCP on four
+    identical and on three heterogeneous processors, and MH's message
+    plans on a 4-processor hypercube for the small graphs."""
+    cases = []
+    for graph in dc.corpus_graphs():
+        for tag, topo in (("p4", Topology.ring(4)),
+                          ("het3", Topology.ring(3))):
+            cases.append((get_scheduler("MCP").schedule(
+                graph, dc.build_machine(tag, graph)), topo))
+        if graph.num_nodes <= dc.APN_MAX_NODES:
+            cube = Topology.hypercube(2)
+            cases.append((get_scheduler("MH").schedule(
+                graph, NetworkMachine(cube)), cube))
+    return cases
+
+
+@pytest.fixture(scope="module")
+def replay_cases():
+    return _replay_cases()
+
+
+def _assert_same_trial(ours, ref, label):
+    # Key order too: both loops place tasks in the same event order.
+    assert list(ours.schedule.to_dict().items()) == \
+        list(ref.schedule.to_dict().items()), label
+    assert list(ours.schedule.messages.items()) == \
+        list(ref.schedule.messages.items()), label
+    assert ours.num_events == ref.num_events, label
+    assert (ours.predicted, ours.makespan) == \
+        (ref.predicted, ref.makespan), label
+
+
+@pytest.mark.parametrize("network", sorted(_NETWORKS))
+@pytest.mark.parametrize("noise", sorted(_NOISE))
+def test_replay_matches_reference_loop(replay_cases, noise, network):
+    perturb, seeds = _NOISE[noise]
+    has_messages = 0
+    for schedule, topo in replay_cases:
+        for seed in seeds:
+            ours = simulate(schedule, perturb, _NETWORKS[network](topo),
+                            rng=seed)
+            ref = _reference_replay(schedule, perturb,
+                                    _NETWORKS[network](topo), seed)
+            _assert_same_trial(ours, ref,
+                               (schedule.graph.name, schedule.num_procs,
+                                seed))
+            has_messages += bool(ours.schedule.messages)
+    # Only the contention backend records messages (the replay default
+    # turns MH's message plans into fixed delays).
+    assert (has_messages > 0) == (network == "contention")
+
+
+def test_replay_stall_matches_reference_loop():
+    graph = dc.corpus_graphs()[0]
+    planned = get_scheduler("MCP").schedule(graph, Machine(2))
+    sequences = _sequences_from(planned, 2)
+    # Reversing the busier sequence puts a task ahead of its ancestor.
+    busiest = max(range(2), key=lambda p: len(sequences[p]))
+    broken = Schedule(graph, 2)
+    for p, seq in enumerate(sequences):
+        order = seq[::-1] if p == busiest else seq
+        clock = 0.0
+        for node in order:
+            broken.place(node, p, clock)
+            clock = broken.finish_of(node)
+    with pytest.raises(ScheduleError) as ours:
+        simulate(broken)
+    with pytest.raises(ScheduleError) as ref:
+        _reference_replay(broken, DETERMINISTIC, None, None)
+    assert str(ours.value) == str(ref.value)
+    assert "stalled" in str(ours.value)
