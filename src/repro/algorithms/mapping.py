@@ -12,12 +12,13 @@ run:
   every message scheduled on the network links.
 
 :func:`mapping_makespan` and :func:`schedule_from_mapping` time a
-clustering; :func:`execute_fixed_order` is the one fixed-order executor,
-for both the clique and the link-contention model, and
-:func:`simulate_fixed_sequences` is MD/DCP's policy around it.  The
-executor is its flat timing core, :func:`time_fixed_order`, plus one
-materialisation of the timing into a :class:`Schedule`; BSA compares
-its migration trials on the core alone.
+clustering, both through one flat Sarkar list simulation (the latter
+then places its timing once); :func:`execute_fixed_order` is the one
+fixed-order executor, for both the clique and the link-contention
+model, and :func:`simulate_fixed_sequences` is MD/DCP's policy around
+it.  The executor is its flat timing core, :func:`time_fixed_order`,
+plus one materialisation of the timing into a :class:`Schedule`; BSA
+compares its migration trials on the core alone.
 """
 
 from __future__ import annotations
@@ -57,36 +58,7 @@ def mapping_makespan(graph: TaskGraph, proc_of: Sequence[int],
     """
     if priority is None:
         priority = blevel(graph)
-    n = graph.num_nodes
-    remaining = [graph.in_degree(i) for i in range(n)]
-    finish = [0.0] * n
-    proc_free: Dict[int, float] = {}
-    heap = [(-priority[i], i) for i in range(n) if remaining[i] == 0]
-    heapq.heapify(heap)
-    makespan = 0.0
-    weights = graph.weights
-    while heap:
-        _, node = heapq.heappop(heap)
-        p = proc_of[node]
-        drt = 0.0
-        parents, costs = graph.pred_pairs(node)
-        for parent, c in zip(parents, costs):
-            arr = finish[parent]
-            if proc_of[parent] != p:
-                arr += c
-            if arr > drt:
-                drt = arr
-        start = max(proc_free.get(p, 0.0), drt)
-        end = start + float(weights[node])
-        finish[node] = end
-        proc_free[p] = end
-        if end > makespan:
-            makespan = end
-        for child in graph.successors(node):
-            remaining[child] -= 1
-            if remaining[child] == 0:
-                heapq.heappush(heap, (-priority[child], child))
-    return makespan
+    return _time_mapping(graph, proc_of, priority).length
 
 
 def schedule_from_mapping(graph: TaskGraph, proc_of: Sequence[int],
@@ -97,7 +69,8 @@ def schedule_from_mapping(graph: TaskGraph, proc_of: Sequence[int],
 
     ``proc_of`` may use arbitrary processor labels; they are compacted
     onto ``0..k-1`` in first-use order (so cluster counts equal
-    processors used).
+    processors used).  Renaming labels one to one changes no float of
+    the timing, which is placed once.
     """
     if priority is None:
         priority = blevel(graph)
@@ -108,22 +81,45 @@ def schedule_from_mapping(graph: TaskGraph, proc_of: Sequence[int],
         raise ScheduleError(
             f"mapping uses {len(compact)} processors but machine has {num_procs}"
         )
+    timing = _time_mapping(graph, [compact[label] for label in proc_of],
+                           priority)
+    return _materialise(graph, num_procs, timing)
+
+
+def _time_mapping(graph: TaskGraph, proc_of: Sequence[int],
+                  priority: Sequence[float]) -> FixedOrderTiming:
+    """Sarkar's list simulation on plain lists: the one heap loop."""
     n = graph.num_nodes
-    remaining = [graph.in_degree(i) for i in range(n)]
-    schedule = Schedule(graph, num_procs)
+    weights, preds, succs = _flat_graph(graph)
+    remaining = [len(parents) for parents, _ in preds]
+    start = [0.0] * n
+    finish = [0.0] * n
+    order: List[int] = []
+    proc_free: Dict[int, float] = {}
     heap = [(-priority[i], i) for i in range(n) if remaining[i] == 0]
     heapq.heapify(heap)
     while heap:
         _, node = heapq.heappop(heap)
-        p = compact[proc_of[node]]
-        drt = schedule.data_ready_time(node, p)
-        start = max(schedule.proc_ready_time(p), drt)
-        schedule.place(node, p, start)
-        for child in graph.successors(node):
+        p = proc_of[node]
+        drt = 0.0
+        parents, costs = preds[node]
+        for parent, c in zip(parents, costs):
+            arr = finish[parent]
+            if proc_of[parent] != p:
+                arr += c
+            if arr > drt:
+                drt = arr
+        t = proc_free.get(p, 0.0)
+        if drt > t:
+            t = drt
+        start[node] = t
+        finish[node] = proc_free[p] = t + weights[node]
+        order.append(node)
+        for child in succs[node]:
             remaining[child] -= 1
             if remaining[child] == 0:
                 heapq.heappush(heap, (-priority[child], child))
-    return schedule
+    return FixedOrderTiming(list(proc_of), start, finish, order, None)
 
 
 def simulate_fixed_sequences(graph: TaskGraph,

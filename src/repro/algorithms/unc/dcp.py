@@ -7,6 +7,10 @@ The best UNC performer in the paper.  Three ideas distinguish DCP:
    recomputed on the partially scheduled graph; the next node is the
    unscheduled one with minimum mobility ``ALST - AEST`` (a node on the
    current dynamic critical path), breaking ties toward smaller ALST.
+   Both are the kernel's level sweeps, masked by a per-node processor
+   label (-1 while unplaced) and pinned at placed nodes: AEST is the
+   forward sweep floored at the pinned start, ALST the negated backward
+   sweep with the pinned start as override.
 2. **Restricted candidate processors** — only processors already holding
    one of the node's parents or children (plus one fresh processor) are
    examined, which both speeds the search and economises processors: "as
@@ -26,18 +30,18 @@ timing pass over the (mapping, per-processor order) DCP decides.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from ...core.graph import TaskGraph
+from ...core.kernel import backward_sweep, forward_sweep
 from ...core.machine import Machine
-from ...core.schedule import Schedule
+from ...core.schedule import Schedule, insertion_slot
 from ..base import Scheduler, register
 from ..mapping import simulate_fixed_sequences
 
 __all__ = ["DCP"]
-
-_EPS = 1e-9
-_INF = float("inf")
 
 
 @register
@@ -51,44 +55,40 @@ class DCP(Scheduler):
 
     def _run(self, graph: TaskGraph, machine: Machine) -> Schedule:
         n = graph.num_nodes
-        pinned: Dict[int, float] = {}
-        proc_of: Dict[int, int] = {}
+        # Processor of each node (-1 while unplaced) and its pinned start
+        # (0.0 while unplaced, so it doubles as the AEST floor).
+        proc_of = np.full(n, -1, dtype=np.int64)
+        pin = np.zeros(n)
         proc_starts: List[List[float]] = []
         proc_finishes: List[List[float]] = []
         proc_nodes: List[List[int]] = []
 
-        def comm(u: int, v: int) -> float:
-            """Edge cost under the current partial assignment."""
-            if u in proc_of and v in proc_of and proc_of[u] == proc_of[v]:
-                return 0.0
-            return graph.comm_cost(u, v)
-
         for _step in range(n):
-            aest = self._aest(graph, pinned, comm)
-            alst = self._alst(graph, pinned, comm, aest)
+            aest, alst = self._start_bounds(graph, proc_of, pin)
+            placed = proc_of.tolist()
             node = min(
-                (i for i in range(n) if i not in pinned),
+                (i for i in range(n) if placed[i] < 0),
                 key=lambda i: (alst[i] - aest[i], alst[i], i),
             )
             candidates = sorted(
-                {proc_of[x] for x in graph.predecessors(node) if x in proc_of}
-                | {proc_of[x] for x in graph.successors(node) if x in proc_of}
+                {placed[x] for x in graph.predecessors(node) if placed[x] >= 0}
+                | {placed[x] for x in graph.successors(node) if placed[x] >= 0}
             )
             if len(proc_starts) < n:
                 candidates.append(len(proc_starts))  # one fresh processor
             if not candidates:
                 candidates = [len(proc_starts)]
-            cc = self._critical_child(graph, node, pinned, alst)
+            cc = self._critical_child(graph, node, placed, alst)
             best: Optional[Tuple[float, float, int, float]] = None
             for p in candidates:
                 fresh = p == len(proc_starts)
                 starts = [] if fresh else proc_starts[p]
                 fins = [] if fresh else proc_finishes[p]
-                est = self._est_on(graph, node, p, aest, pinned, proc_of)
-                slot = _find_slot(starts, fins, est, graph.weight(node))
+                est = self._est_on(graph, node, p, aest, placed)
+                slot = insertion_slot(starts, fins, est, graph.weight(node))
                 if cc is not None:
                     slot_cc = self._lookahead(graph, cc, node, slot, p, aest,
-                                              pinned, proc_of, starts, fins)
+                                              placed, starts, fins)
                     score = slot + slot_cc
                 else:
                     score = slot
@@ -104,7 +104,7 @@ class DCP(Scheduler):
             proc_starts[p].insert(i, start)
             proc_finishes[p].insert(i, start + graph.weight(node))
             proc_nodes[p].insert(i, node)
-            pinned[node] = start
+            pin[node] = start
             proc_of[node] = p
 
         sequences = [list(nodes) for nodes in proc_nodes]
@@ -112,98 +112,66 @@ class DCP(Scheduler):
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _aest(graph: TaskGraph, pinned, comm) -> List[float]:
-        """Absolute earliest start times on the partially scheduled graph.
+    def _start_bounds(graph: TaskGraph, proc_of: np.ndarray, pin: np.ndarray
+                      ) -> Tuple[List[float], List[float]]:
+        """AEST and ALST of every node on the partially scheduled graph.
 
-        Scheduled nodes sit at their pinned start (floored up if a parent
-        placement has since pushed their inputs later — the final timing
-        pass resolves such tentative inconsistencies).
+        Edges between co-located nodes cost nothing.  A placed node's
+        AEST is floored at its pinned start (the final timing pass
+        resolves the tentative inconsistencies a floor leaves) and its
+        ALST is the pinned start.  ALST is taken w.r.t. the dynamic CP
+        length: ``min(dcpl - w[u], alst[v] - c(u, v) - w[u])`` is the
+        backward max sweep of the negated values, exactly, because
+        rounding to nearest is symmetric in sign.
         """
-        a = [0.0] * graph.num_nodes
-        for u in graph.topological_order:
-            best = 0.0
-            for p in graph.predecessors(u):
-                cand = a[p] + graph.weight(p) + comm(p, u)
-                if cand > best:
-                    best = cand
-            pin = pinned.get(u)
-            if pin is not None and pin > best:
-                best = pin
-            a[u] = best
-        return a
+        w = graph.weights
+        aest = forward_sweep(graph, zero=proc_of, floor=pin)
+        dcpl = (aest + w).max()
+        placed = proc_of >= 0
+        negated = backward_sweep(graph, zero=proc_of, fixed=placed,
+                                 init=np.where(placed, -pin, w - dcpl))
+        return aest.tolist(), (0.0 - negated).tolist()
 
     @staticmethod
-    def _alst(graph: TaskGraph, pinned, comm, aest) -> List[float]:
-        """Absolute latest start times w.r.t. the dynamic CP length."""
-        dcpl = max(aest[i] + graph.weight(i) for i in graph.nodes())
-        al = [0.0] * graph.num_nodes
-        for u in reversed(graph.topological_order):
-            pin = pinned.get(u)
-            if pin is not None:
-                al[u] = pin
-                continue
-            best = dcpl - graph.weight(u)
-            for s in graph.successors(u):
-                cand = al[s] - comm(u, s) - graph.weight(u)
-                if cand < best:
-                    best = cand
-            al[u] = best
-        return al
-
-    @staticmethod
-    def _critical_child(graph: TaskGraph, node: int, pinned,
-                        alst) -> Optional[int]:
+    def _critical_child(graph: TaskGraph, node: int, placed: List[int],
+                        alst: List[float]) -> Optional[int]:
         """Unscheduled child with the smallest ALST (ties: smaller id)."""
-        cands = [s for s in graph.successors(node) if s not in pinned]
+        cands = [s for s in graph.successors(node) if placed[s] < 0]
         if not cands:
             return None
         return min(cands, key=lambda s: (alst[s], s))
 
     @staticmethod
-    def _est_on(graph: TaskGraph, node: int, proc: int, aest, pinned,
-                proc_of) -> float:
+    def _est_on(graph: TaskGraph, node: int, proc: int, aest: List[float],
+                placed: List[int]) -> float:
         est = 0.0
-        for p in graph.predecessors(node):
+        parents, costs = graph.pred_pairs(node)
+        for p, c in zip(parents, costs):
             arr = aest[p] + graph.weight(p)
-            if not (p in proc_of and proc_of[p] == proc):
-                arr += graph.comm_cost(p, node)
+            if placed[p] != proc:
+                arr += c
             if arr > est:
                 est = arr
         return est
 
     @staticmethod
     def _lookahead(graph: TaskGraph, cc: int, node: int, node_slot: float,
-                   proc: int, aest, pinned, proc_of, starts, fins) -> float:
+                   proc: int, aest: List[float], placed: List[int],
+                   starts: List[float], fins: List[float]) -> float:
         """Start the critical child would get on ``proc`` next to ``node``."""
         est = 0.0
-        for q in graph.predecessors(cc):
+        parents, costs = graph.pred_pairs(cc)
+        for q, c in zip(parents, costs):
             if q == node:
                 arr = node_slot + graph.weight(node)  # co-located, comm-free
             else:
                 arr = aest[q] + graph.weight(q)
-                if not (q in proc_of and proc_of[q] == proc):
-                    arr += graph.comm_cost(q, cc)
+                if placed[q] != proc:
+                    arr += c
             if arr > est:
                 est = arr
         # Search the processor's gaps with the node tentatively inserted.
         i = bisect.bisect_left(starts, node_slot)
         t_starts = starts[:i] + [node_slot] + starts[i:]
         t_fins = fins[:i] + [node_slot + graph.weight(node)] + fins[i:]
-        return _find_slot(t_starts, t_fins, est, graph.weight(cc))
-
-
-def _find_slot(starts: List[float], finishes: List[float], est: float,
-               duration: float) -> float:
-    """Earliest insertion slot >= est among sorted busy intervals."""
-    if not starts:
-        return est
-    if est + duration <= starts[0] + _EPS:
-        return est
-    i = bisect.bisect_right(finishes, est)
-    if i > 0:
-        i -= 1
-    for k in range(i, len(starts) - 1):
-        gap = max(est, finishes[k])
-        if gap + duration <= starts[k + 1] + _EPS:
-            return gap
-    return max(est, finishes[-1])
+        return insertion_slot(t_starts, t_fins, est, graph.weight(cc))

@@ -6,14 +6,17 @@ MD schedules nodes in order of *relative mobility*
 
 where the primed quantities are recomputed on the *partially zeroed*
 graph after every placement (edges between co-located nodes cost
-nothing) and ``L'`` is the current critical-path length.  Nodes with
-zero mobility lie on the current critical path, so MD is CP-based with a
-fully dynamic priority.  A node is placed on the first already-used
-processor that can hold it without stretching the critical path (start
-within its ALAP window, insertion allowed); only if none can is a new
-processor opened — which is why the paper finds MD using relatively few
-processors (Section 6.4.2) at the cost of the largest UNC running times
-(Table 6).
+nothing) and ``L'`` is the current critical-path length.  Both are the
+kernel's level sweeps (:func:`~repro.core.kernel.forward_sweep`,
+:func:`~repro.core.kernel.backward_sweep`) masked by a per-node
+processor label (-1 while unplaced); the t-level is floored at each
+placed node's pinned start.  Nodes with zero mobility lie on the
+current critical path, so MD is CP-based with a fully dynamic priority.
+A node is placed on the first already-used processor that can hold it
+without stretching the critical path (start within its ALAP window,
+insertion allowed); only if none can is a new processor opened — which
+is why the paper finds MD using relatively few processors (Section
+6.4.2) at the cost of the largest UNC running times (Table 6).
 
 Deviation from the original: Wu & Gajski allow limited re-timing of
 already-placed nodes when squeezing a new node in; we pin placed nodes
@@ -24,12 +27,14 @@ fixed-sequence timing pass (:func:`simulate_fixed_sequences`).
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Set, Tuple
+from typing import List
+
+import numpy as np
 
 from ...core.graph import TaskGraph
-from ...core.kernel import blevel_zeroed
+from ...core.kernel import backward_sweep, forward_sweep
 from ...core.machine import Machine
-from ...core.schedule import Schedule
+from ...core.schedule import Schedule, insertion_slot
 from ..base import Scheduler, register
 from ..mapping import simulate_fixed_sequences
 
@@ -49,29 +54,32 @@ class MD(Scheduler):
 
     def _run(self, graph: TaskGraph, machine: Machine) -> Schedule:
         n = graph.num_nodes
-        zeroed: Set[Tuple[int, int]] = set()
-        pinned: Dict[int, float] = {}
-        proc_of: Dict[int, int] = {}
+        # Processor of each node (-1 while unplaced) and its pinned start
+        # (0.0 while unplaced, so it doubles as the t-level floor).
+        proc_of = np.full(n, -1, dtype=np.int64)
+        pin = np.zeros(n)
         # Per processor: parallel sorted lists of (start, finish, node).
         proc_starts: List[List[float]] = []
         proc_finishes: List[List[float]] = []
         proc_nodes: List[List[int]] = []
 
         for _step in range(n):
-            t = self._tlevels(graph, zeroed, pinned)
-            b = self._blevels(graph, zeroed)
+            # Edges between co-located nodes cost nothing.
+            t = forward_sweep(graph, zero=proc_of, floor=pin).tolist()
+            b = backward_sweep(graph, zero=proc_of).tolist()
             cp = max(t[i] + b[i] for i in range(n))
+            placed, pins = proc_of.tolist(), pin.tolist()
             # Min relative mobility; ties toward smaller t-level then id.
             node = min(
-                (i for i in range(n) if i not in pinned),
+                (i for i in range(n) if placed[i] < 0),
                 key=lambda i: ((cp - (t[i] + b[i])) / graph.weight(i), t[i], i),
             )
             alst = cp - b[node]  # latest start not stretching the CP
             choice = None
             for p in range(len(proc_starts)):
-                est = self._est_on(graph, node, p, t, pinned, proc_of)
-                slot = self._find_slot(proc_starts[p], proc_finishes[p], est,
-                                       graph.weight(node))
+                est = self._est_on(graph, node, p, t, placed, pins)
+                slot = insertion_slot(proc_starts[p], proc_finishes[p], est,
+                                      graph.weight(node))
                 if slot <= alst + _EPS:
                     choice = (p, slot)
                     break
@@ -83,16 +91,11 @@ class MD(Scheduler):
                 proc_nodes.append([])
                 choice = (len(proc_starts) - 1, t[node])
             p, start = choice
-            for resident in proc_nodes[p]:
-                if graph.has_edge(node, resident):
-                    zeroed.add((node, resident))
-                if graph.has_edge(resident, node):
-                    zeroed.add((resident, node))
             i = bisect.bisect_left(proc_starts[p], start)
             proc_starts[p].insert(i, start)
             proc_finishes[p].insert(i, start + graph.weight(node))
             proc_nodes[p].insert(i, node)
-            pinned[node] = start
+            pin[node] = start
             proc_of[node] = p
 
         sequences = [list(nodes) for nodes in proc_nodes]
@@ -100,64 +103,22 @@ class MD(Scheduler):
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _tlevels(graph: TaskGraph, zeroed, pinned) -> List[float]:
-        t = [0.0] * graph.num_nodes
-        w = graph.weights
-        for u in graph.topological_order:
-            best = 0.0
-            preds, costs = graph.pred_pairs(u)
-            for p, c in zip(preds, costs):
-                if (p, u) in zeroed:
-                    c = 0.0
-                cand = t[p] + w[p] + c
-                if cand > best:
-                    best = cand
-            pin = pinned.get(u)
-            if pin is not None and pin > best:
-                best = pin
-            t[u] = best
-        return t
-
-    @staticmethod
-    def _blevels(graph: TaskGraph, zeroed) -> List[float]:
-        # Unlike _tlevels (which folds in the pinned start times), the
-        # b-level needs nothing MD-specific: it is exactly the kernel's
-        # zeroed-edge sweep.
-        return blevel_zeroed(graph, zeroed)
-
-    @staticmethod
-    def _est_on(graph: TaskGraph, node: int, proc: int, t, pinned,
-                proc_of) -> float:
+    def _est_on(graph: TaskGraph, node: int, proc: int, t: List[float],
+                placed: List[int], pins: List[float]) -> float:
         """Earliest data-constrained start of ``node`` on ``proc``.
 
         Edges from parents already resident on ``proc`` are treated as
         zeroed; unscheduled parents contribute their dynamic t-level.
         """
         est = 0.0
-        for p in graph.predecessors(node):
-            if p in pinned:
-                arr = pinned[p] + graph.weight(p)
-                if proc_of[p] != proc:
-                    arr += graph.comm_cost(p, node)
+        parents, costs = graph.pred_pairs(node)
+        for p, c in zip(parents, costs):
+            if placed[p] >= 0:
+                arr = pins[p] + graph.weight(p)
+                if placed[p] != proc:
+                    arr += c
             else:
-                arr = t[p] + graph.weight(p) + graph.comm_cost(p, node)
+                arr = t[p] + graph.weight(p) + c
             if arr > est:
                 est = arr
         return est
-
-    @staticmethod
-    def _find_slot(starts: List[float], finishes: List[float], est: float,
-                   duration: float) -> float:
-        """Earliest insertion slot >= est among pinned intervals."""
-        if not starts:
-            return est
-        if est + duration <= starts[0] + _EPS:
-            return est
-        i = bisect.bisect_right(finishes, est)
-        if i > 0:
-            i -= 1
-        for k in range(i, len(starts) - 1):
-            gap = max(est, finishes[k])
-            if gap + duration <= starts[k + 1] + _EPS:
-                return gap
-        return max(est, finishes[-1])

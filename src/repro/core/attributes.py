@@ -15,12 +15,14 @@ heuristics are built from:
 * **critical path** (CP): a path from an entry to an exit node whose
   length (nodes + edges) is maximal.
 
-All functions return plain lists indexed by node.  The graph is
-immutable, so the static variants (no ``zeroed`` set) are computed once
-per graph by the level-batched sweeps in :mod:`repro.core.kernel` and
-cached on the graph; repeated calls return a fresh list copy of the
-cached values in O(v).  The ``zeroed`` variants — dynamic attributes
-during clustering — bypass the cache.
+All functions return plain lists indexed by node.  Every one of them
+is computed by the two level-batched sweeps of :mod:`repro.core.kernel`
+(one forward, one backward).  The graph is immutable, so the static
+variants (no ``zeroed`` set) are computed once per graph and cached on
+it; repeated calls return a fresh list copy of the cached values in
+O(v).  The ``zeroed`` variants — dynamic attributes during clustering,
+where the named edges cost nothing — run the same sweeps with those
+edges masked and bypass the cache.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ def tlevel(graph: TaskGraph, zeroed: Optional[Set[Tuple[int, int]]] = None
     clustering.
     """
     if zeroed:
-        return kernel.tlevel_zeroed(graph, zeroed)
+        return kernel.forward_sweep(graph, zero=zeroed).tolist()
     return graph.cached("tlevel", kernel.tlevel_sweep).tolist()
 
 
@@ -61,7 +63,7 @@ def blevel(graph: TaskGraph, zeroed: Optional[Set[Tuple[int, int]]] = None
            ) -> List[float]:
     """Bottom levels of all nodes (edge weights included)."""
     if zeroed:
-        return kernel.blevel_zeroed(graph, zeroed)
+        return kernel.backward_sweep(graph, zero=zeroed).tolist()
     return graph.cached("blevel", kernel.blevel_sweep).tolist()
 
 

@@ -11,12 +11,17 @@ concentrated in three places:
 3. **best-ready selection** — a linear ``max`` over the ready set per
    step.
 
-This module provides the flat-array replacements: level-batched numpy
-sweeps over the graph's CSR adjacency, an O(deg)-build/O(1)-query
-:class:`ArrivalProfile` for per-processor data-ready times, and a
-lazy-deletion binary heap for ready-node selection.  Everything here is
-*exactly* semantics-preserving — the same floats out for the same floats
-in — which ``tests/test_differential.py`` enforces schedule-for-schedule
+This module provides the flat-array replacements: one forward and one
+backward level-batched numpy sweep over the graph's CSR adjacency, an
+O(deg)-build/O(1)-query :class:`ArrivalProfile` for per-processor
+data-ready times, and a lazy-deletion binary heap for ready-node
+selection.  The two sweeps carry every t-level/b-level variant: the
+static attributes, their computation-only forms, and the dynamic levels
+MD and DCP recompute after each placement, where edges inside a cluster
+cost nothing and placed nodes are pinned (a floor going forward, an
+override going backward).  Everything here is *exactly*
+semantics-preserving — the same floats out for the same floats in —
+which ``tests/test_differential.py`` enforces schedule-for-schedule
 against the golden corpus.
 """
 
@@ -32,6 +37,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 import numpy as np
@@ -45,14 +51,16 @@ if TYPE_CHECKING:  # pragma: no cover
     from .schedule import Schedule
 
 _Plan = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+#: Which edges a sweep treats as free: see :func:`_edge_costs`.
+_Zero = Union[None, bool, np.ndarray, Set[Tuple[int, int]]]
 
 __all__ = [
+    "forward_sweep",
+    "backward_sweep",
     "tlevel_sweep",
     "blevel_sweep",
     "static_blevel_sweep",
     "static_tlevel_sweep",
-    "tlevel_zeroed",
-    "blevel_zeroed",
     "ArrivalProfile",
     "arrival_profile",
     "grouped_arrival_profile",
@@ -72,7 +80,9 @@ __all__ = [
 # Exactness: every candidate value is ``t[src] + w[src] + cost``
 # evaluated left-to-right in float64, identical to the scalar loop, and
 # ``max`` over the same set of floats is order-independent — so these
-# sweeps are bit-for-bit equal to the reference implementation.
+# sweeps are bit-for-bit equal to the reference implementation.  A
+# zeroed edge adds 0.0, which leaves a non-negative sum unchanged, so
+# the computation-only and clustered variants need no loop of their own.
 
 
 def _forward_plan(graph: TaskGraph) -> _Plan:
@@ -101,14 +111,44 @@ def _backward_plan(graph: TaskGraph) -> _Plan:
     return src, dst, cost, bounds
 
 
-def tlevel_sweep(graph: TaskGraph) -> np.ndarray:
-    """Top levels (paths sum node + edge weights, excluding ``w(n)``)."""
+def _edge_costs(graph: TaskGraph, plan: _Plan, zero: _Zero) -> np.ndarray:
+    """The plan's edge costs with the edges ``zero`` names set to 0.0.
+
+    ``zero`` is ``None`` (no edge), ``True`` (every edge: the
+    computation-only sweeps), a per-node int64 label array (an edge
+    whose two ends carry one label ``>= 0``: the same cluster or
+    processor; ``-1`` means unplaced) or a set of ``(u, v)`` edges.
+    """
+    src, dst, cost, _bounds = plan
+    if zero is None:
+        return cost
+    if zero is True:
+        return np.zeros_like(cost)
+    if isinstance(zero, np.ndarray):
+        label = zero[src]
+        mask = (label >= 0) & (label == zero[dst])
+    else:
+        n = graph.num_nodes
+        keys = np.fromiter((u * n + v for u, v in zero), np.int64, len(zero))
+        mask = np.isin(src * n + dst, keys)
+    return np.where(mask, 0.0, cost)
+
+
+def forward_sweep(graph: TaskGraph, zero: _Zero = None,
+                  floor: Optional[np.ndarray] = None) -> np.ndarray:
+    """Top levels: ``t[v] = max(floor[v], t[u] + w[u] + c(u, v) over u->v)``.
+
+    Edges named by ``zero`` (see :func:`_edge_costs`) cost nothing;
+    ``floor`` (default 0) pins a node's level from below, as a placed
+    node's start time does during clustering.
+    """
     _metrics.incr("kernel.sweeps")
-    src, dst, cost, bounds = graph.cached("_fwd_plan", _forward_plan)
-    lv = graph.node_levels
+    plan = graph.cached("_fwd_plan", _forward_plan)
+    src, dst, _cost, bounds = plan
+    cost = _edge_costs(graph, plan, zero)
     w = graph.weights
-    t = np.zeros(graph.num_nodes)
-    for level in range(int(lv.max()) + 1 if graph.num_nodes else 0):
+    t = np.zeros(graph.num_nodes) if floor is None else floor.copy()
+    for level in range(len(bounds) - 1):
         lo, hi = bounds[level], bounds[level + 1]
         if lo == hi:
             continue
@@ -117,88 +157,54 @@ def tlevel_sweep(graph: TaskGraph) -> np.ndarray:
     return t
 
 
-def blevel_sweep(graph: TaskGraph) -> np.ndarray:
-    """Bottom levels (edge weights included)."""
+def backward_sweep(graph: TaskGraph, zero: _Zero = None,
+                   init: Optional[np.ndarray] = None,
+                   fixed: Optional[np.ndarray] = None) -> np.ndarray:
+    """Bottom levels: ``b[u] = max(init[u], b[v] + c(u, v) + w[u] over u->v)``.
+
+    ``init`` defaults to the weights, which gives the b-level; nodes
+    where the boolean ``fixed`` is set keep ``init`` as their value (an
+    override, where the forward sweep's ``floor`` is a floor).  Edges
+    named by ``zero`` cost nothing.
+    """
     _metrics.incr("kernel.sweeps")
-    src, dst, cost, bounds = graph.cached("_bwd_plan", _backward_plan)
-    lv = graph.node_levels
-    b = graph.weights.copy()
-    for level in range(int(lv.max()) if graph.num_nodes else 0, -1, -1):
+    plan = graph.cached("_bwd_plan", _backward_plan)
+    src, dst, _cost, bounds = plan
+    cost = _edge_costs(graph, plan, zero)
+    if fixed is not None:
+        # b[d] is finite, so an edge out of a fixed node offers it
+        # -inf, which no maximum takes.
+        cost = np.where(fixed[src], -np.inf, cost)
+    w = graph.weights
+    b = w.copy() if init is None else init.copy()
+    for level in range(len(bounds) - 2, -1, -1):
         lo, hi = bounds[level], bounds[level + 1]
         if lo == hi:
             continue
         s, d = src[lo:hi], dst[lo:hi]
         # b[d] is final: every successor sits at a strictly higher level.
-        np.maximum.at(b, s, b[d] + cost[lo:hi] + graph.weights[s])
+        np.maximum.at(b, s, b[d] + cost[lo:hi] + w[s])
     return b
+
+
+def tlevel_sweep(graph: TaskGraph) -> np.ndarray:
+    """Top levels (paths sum node + edge weights, excluding ``w(n)``)."""
+    return forward_sweep(graph)
+
+
+def blevel_sweep(graph: TaskGraph) -> np.ndarray:
+    """Bottom levels (edge weights included)."""
+    return backward_sweep(graph)
 
 
 def static_blevel_sweep(graph: TaskGraph) -> np.ndarray:
     """Computation-only bottom levels (the classic *SL* attribute)."""
-    _metrics.incr("kernel.sweeps")
-    src, dst, _cost, bounds = graph.cached("_bwd_plan", _backward_plan)
-    lv = graph.node_levels
-    b = graph.weights.copy()
-    for level in range(int(lv.max()) if graph.num_nodes else 0, -1, -1):
-        lo, hi = bounds[level], bounds[level + 1]
-        if lo == hi:
-            continue
-        s, d = src[lo:hi], dst[lo:hi]
-        np.maximum.at(b, s, b[d] + graph.weights[s])
-    return b
+    return backward_sweep(graph, zero=True)
 
 
 def static_tlevel_sweep(graph: TaskGraph) -> np.ndarray:
     """Computation-only top levels."""
-    _metrics.incr("kernel.sweeps")
-    src, dst, _cost, bounds = graph.cached("_fwd_plan", _forward_plan)
-    lv = graph.node_levels
-    w = graph.weights
-    t = np.zeros(graph.num_nodes)
-    for level in range(int(lv.max()) + 1 if graph.num_nodes else 0):
-        lo, hi = bounds[level], bounds[level + 1]
-        if lo == hi:
-            continue
-        s, d = src[lo:hi], dst[lo:hi]
-        np.maximum.at(t, d, t[s] + w[s])
-    return t
-
-
-# ----------------------------------------------------------------------
-# zeroed-edge scalar sweeps (dynamic attributes during clustering)
-# ----------------------------------------------------------------------
-def tlevel_zeroed(graph: TaskGraph, zeroed: Set[Tuple[int, int]]) -> List[float]:
-    """Scalar t-level sweep honouring a set of zero-cost edges."""
-    t = [0.0] * graph.num_nodes
-    w = graph.weights
-    for u in graph.topological_order:
-        best = 0.0
-        preds, costs = graph.pred_pairs(u)
-        for p, c in zip(preds, costs):
-            if (p, u) in zeroed:
-                c = 0.0
-            cand = t[p] + w[p] + c
-            if cand > best:
-                best = cand
-        t[u] = best
-    return t
-
-
-def blevel_zeroed(graph: TaskGraph, zeroed: Set[Tuple[int, int]]) -> List[float]:
-    """Scalar b-level sweep honouring a set of zero-cost edges."""
-    b = [0.0] * graph.num_nodes
-    w = graph.weights
-    for u in reversed(graph.topological_order):
-        best = 0.0
-        succs, costs = graph.succ_pairs(u)
-        for s, c in zip(succs, costs):
-            if (u, s) in zeroed:
-                c = 0.0
-            cand = b[s] + c
-            if cand > best:
-                best = cand
-        b[u] = best + w[u]
-    return b
+    return forward_sweep(graph, zero=True)
 
 
 # ----------------------------------------------------------------------

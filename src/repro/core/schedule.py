@@ -38,13 +38,39 @@ from .graph import TaskGraph
 from .kernel import ArrivalProfile, arrival_profile as _arrival_profile
 
 __all__ = ["Placement", "Message", "Schedule", "Violation", "validate",
-           "render_violations"]
+           "render_violations", "insertion_slot"]
 
 _EPS = 1e-9
 #: Nodes plus edges below which ``validate`` skips the array proof: its
 #: numpy calls cost a fixed ~25 us, more than the whole iterator takes
 #: on graphs this small (measured crossover: 20 nodes, 36 edges).
 _PROOF_MIN_SIZE = 64
+
+
+def insertion_slot(starts: Sequence[float], finishes: Sequence[float],
+                   est: float, duration: float) -> float:
+    """Earliest start ``>= est`` for ``duration`` among sorted busy intervals.
+
+    ``starts``/``finishes`` list one processor's tasks in time order.
+    A gap hosts the task when it ends no more than ``1e-9`` before the
+    task would; failing every gap, the task goes after the last one.
+    """
+    if not starts:
+        return est
+    # Gap before the first task.
+    if est + duration <= starts[0] + _EPS:
+        return est
+    # Gaps between consecutive tasks.  Only gaps ending after est can
+    # host the task, so start scanning at the first task whose finish
+    # exceeds est.
+    i = bisect.bisect_right(finishes, est)
+    if i > 0:
+        i -= 1
+    for k in range(i, len(starts) - 1):
+        gap_start = max(est, finishes[k])
+        if gap_start + duration <= starts[k + 1] + _EPS:
+            return gap_start
+    return max(est, finishes[-1])
 
 
 @dataclass(frozen=True)
@@ -229,20 +255,7 @@ class Schedule:
         starts, fins = self._starts[proc], self._finishes[proc]
         if not insertion or not starts:
             return max(est, fins[-1] if fins else 0.0)
-        # Gap before the first task.
-        if est + duration <= starts[0] + _EPS:
-            return est
-        # Gaps between consecutive tasks.  Only gaps ending after est can
-        # host the task, so start scanning at the first task whose finish
-        # exceeds est.
-        i = bisect.bisect_right(fins, est)
-        if i > 0:
-            i -= 1
-        for k in range(i, len(starts) - 1):
-            gap_start = max(est, fins[k])
-            if gap_start + duration <= starts[k + 1] + _EPS:
-                return gap_start
-        return max(est, fins[-1])
+        return insertion_slot(starts, fins, est, duration)
 
     # ------------------------------------------------------------------
     # mutation

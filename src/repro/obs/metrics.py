@@ -9,7 +9,7 @@ builder without moving the bench gate.
 Counter names form a small registry (see DESIGN.md "Observability"):
 
 ===================== ==================================================
-``kernel.sweeps``      level-batched attribute sweeps executed (local)
+``kernel.sweeps``      level sweeps run (local; MD/DCP run two a step)
 ``kernel.profiles``    arrival profiles built
 ``sched.heap_pops``    successful lazy-heap pops
 ``sched.insertion_holes``  hole-filled placements (ISH-style back-fill)

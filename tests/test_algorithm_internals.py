@@ -5,14 +5,16 @@ hand-sized instance where the expected decision is checkable by hand —
 priority lists, mobility, AEST/ALST, CPN-dominant sequences.
 """
 
+import numpy as np
 import pytest
 
 from repro import Machine, TaskGraph
 from repro.algorithms.apn.bsa import cpn_dominant_list
 from repro.algorithms.components.priorities import _descendant_alap_lists
 from repro.algorithms.unc.lc import LC
-from repro.algorithms.unc.md import MD
 from repro.core.attributes import alap, blevel, tlevel
+from repro.core.kernel import backward_sweep, forward_sweep
+from repro.core.schedule import insertion_slot
 
 
 @pytest.fixture
@@ -66,25 +68,30 @@ class TestLCInternals:
 
 
 class TestMDInternals:
+    """MD's dynamic levels: the kernel sweeps under its labels and pins."""
+
     def test_tlevels_with_pinning(self, wgraph):
-        t = MD._tlevels(wgraph, zeroed=set(), pinned={0: 5.0})
+        # Node 0 placed alone on processor 0 at 5.0.
+        label = np.array([0, -1, -1, -1])
+        t = forward_sweep(wgraph, zero=label, floor=np.array([5.0, 0, 0, 0]))
         # Node 0 pinned at 5 pushes every descendant.
         assert t[0] == 5.0
         assert t[2] == pytest.approx(5.0 + 1.0 + 1.0)
 
     def test_tlevels_with_zeroing(self, wgraph):
-        t = MD._tlevels(wgraph, zeroed={(0, 2)}, pinned={})
+        # Nodes 0 and 2 share processor 0: edge (0, 2) is free.
+        t = forward_sweep(wgraph, zero=np.array([0, -1, 0, -1]))
         assert t[2] == pytest.approx(1.0)
 
     def test_blevels_with_zeroing(self, wgraph):
-        b = MD._blevels(wgraph, zeroed={(2, 3)})
+        b = backward_sweep(wgraph, zero=np.array([-1, -1, 0, 0]))
         assert b[2] == pytest.approx(4.0 + 1.0)
 
     def test_find_slot_gap(self):
         starts, fins = [0.0, 10.0], [4.0, 12.0]
-        assert MD._find_slot(starts, fins, 0.0, 3.0) == 4.0
-        assert MD._find_slot(starts, fins, 0.0, 7.0) == 12.0
-        assert MD._find_slot([], [], 2.5, 1.0) == 2.5
+        assert insertion_slot(starts, fins, 0.0, 3.0) == 4.0
+        assert insertion_slot(starts, fins, 0.0, 7.0) == 12.0
+        assert insertion_slot([], [], 2.5, 1.0) == 2.5
 
 
 class TestBSAInternals:
