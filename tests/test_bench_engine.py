@@ -339,6 +339,11 @@ class TestFingerprint:
         fp_b = BenchConfig(apn_topology=b).fingerprint()
         assert fp_a != fp_b
 
+    def test_default_fingerprint_bytes_are_pinned(self):
+        # Persisted stores key their rows on this exact string.
+        assert BenchConfig().fingerprint() == (
+            "bnp=v;apn=hypercube-3:8p:0c16dfee5aaa;validate=1")
+
 
 class TestGetSuite:
     def test_names_dispatch(self):

@@ -291,6 +291,20 @@ class TestAdvCLI:
         assert main(["adv", "search", "no-such-scenario"]) == 2
         assert "registered" in capsys.readouterr().err
 
+    def test_search_flag_conflicting_with_sweep_exits_2(self, tmp_path,
+                                                        capsys):
+        from repro.scenarios import get_scenario
+
+        doc = get_scenario("adversarial-bnp").to_dict()
+        doc["sweep"] = {"adversarial.steps": [5, 9]}
+        path = tmp_path / "swept.json"
+        path.write_text(json.dumps(doc))
+        assert main(["adv", "search", str(path), "--steps", "5",
+                     "--no-store"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-bench: error: --steps conflicts")
+        assert "'adversarial.steps'" in err
+
 
 class TestResultsValidationUnified:
     """Every verb family funnels --results through one validated path.
@@ -336,6 +350,30 @@ class TestResultsValidationUnified:
         assert main(["scenario", "run", SCENARIO_SPEC,
                      "--results", str(target)]) == 2
         self._assert_one_line_error(capsys, "not a writable directory")
+
+
+#: One small run per scenario-driven verb, with its default store files.
+_VERB_RUNS = {
+    "scenario": (["scenario", "run", SCENARIO_SPEC],
+                 ("scenarios", "example-hetero", ["results.json"])),
+    "sim": (["sim", "run", "noise-ladder", "--trials", "2"],
+            ("sim", "noise-ladder", ["sim.json"])),
+    "adv": (["adv", "search", "adversarial-bnp", "--steps", "5",
+             "--chains", "1", "--temperature", "0"],
+            ("adv", "adversarial-bnp", ["adv.json", "frontier.json"])),
+}
+
+
+class TestScenarioVerbsShareOneFrontHalf:
+    @pytest.mark.parametrize("verb", sorted(_VERB_RUNS))
+    def test_default_store_directory(self, verb, tmp_path, capsys,
+                                     monkeypatch):
+        argv, (family, name, files) = _VERB_RUNS[verb]
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        store_dir = tmp_path / "results" / family / name
+        for filename in files:
+            assert (store_dir / filename).exists(), filename
 
 
 class TestAlgoVerbs:

@@ -191,6 +191,14 @@ class TestBackends:
                ContentionNetwork(Topology.hypercube(2)).fingerprint()}
         assert len(fps) == 4
 
+    def test_contention_fingerprint_bytes_are_pinned(self):
+        # Sim stores key their rows on these exact strings.
+        assert ContentionNetwork(Topology.hypercube(2)).fingerprint() == (
+            "contention:hypercube-2:4p:5e6c7d16391c")
+        assert ContentionNetwork(
+            Topology.ring(4).with_bandwidth(2.0)).fingerprint() == (
+            "contention:ring-4:4p:385b33eb401b:bw=2")
+
     def test_network_from_spec(self):
         from repro.sim import network_from_spec
 
