@@ -142,11 +142,8 @@ def machine_fingerprint(machine: Machine) -> str:
     if machine.speeds is not None:
         fp += ";speeds=" + ",".join(f"{s:g}" for s in machine.speeds)
     if isinstance(machine, NetworkMachine):
-        import hashlib
-
         topo = machine.topology
-        links = hashlib.sha256(repr(topo.links).encode()).hexdigest()[:12]
-        fp = (f"net:{topo.name}:{topo.num_procs}p:{links}"
+        fp = (f"net:{topo.name}:{topo.num_procs}p:{topo.links_digest()}"
               f";bw={topo.bandwidth:g}")
     return fp
 

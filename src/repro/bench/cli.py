@@ -16,7 +16,9 @@ scenario engine (:mod:`repro.scenarios`)::
 
 ``scenario run`` persists every row to a ResultStore (default:
 ``results/scenarios/<name>/``) so ``--resume`` replays cached cells
-verbatim; ``--format``/``--out`` mirror the artifact flags.
+verbatim; ``--format``/``--out`` mirror the artifact flags.  ``sim``
+and ``adv search`` take the same flags, and ``--resume`` with
+``--no-store`` is an error: there is no store to replay.
 
 The ``sim`` verbs execute schedules in the discrete-event simulator
 (:mod:`repro.sim`) instead of trusting their predicted times::
@@ -493,6 +495,105 @@ def algo_main(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
+# ----------------------------------------------------------------------
+# the scenario pipeline's front half: scenario run, sim and adv
+# ----------------------------------------------------------------------
+#: Per verb family: the store's directory under ``results/`` and the
+#: help of ``--no-store`` and ``--resume``.
+_RUN_FAMILIES = {
+    "scenario": ("scenarios", "do not persist rows",
+                 "reuse rows cached by previous runs"),
+    "sim": ("sim", "do not persist rows",
+            "reuse rows cached by previous runs"),
+    "adv": ("adv", "do not persist chains or the frontier",
+            "replay chains cached by previous runs"),
+}
+
+
+def _add_run_flags(parser: argparse.ArgumentParser, family: str) -> None:
+    """The spec argument and the seven flags every scenario run takes."""
+    directory, no_store_help, resume_help = _RUN_FAMILIES[family]
+    parser.add_argument("spec", help="spec file (.json/.toml) or "
+                                     "registered scenario name")
+    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+                        help="worker processes (0 = one per CPU)")
+    parser.add_argument("--results", default=None, metavar="DIR",
+                        help="ResultStore directory (default: "
+                             f"results/{directory}/<name>)")
+    parser.add_argument("--no-store", action="store_true",
+                        help=no_store_help)
+    parser.add_argument("--resume", action="store_true", help=resume_help)
+    parser.add_argument("--format", default="text",
+                        choices=sorted(_EXTENSIONS), dest="fmt",
+                        metavar="{text,json,csv}",
+                        help="output format (default: text)")
+    parser.add_argument("--out", default=None, metavar="DIR",
+                        help="also write the tables to DIR")
+    parser.add_argument("--full", action="store_true",
+                        help="paper-scale suites for 'graphs.suite' axes")
+
+
+def _load_spec(source: str):
+    """The spec a verb names; a ``ValueError`` carries the exit-2 line."""
+    from ..scenarios import load_spec
+
+    try:
+        return load_spec(source)
+    except OSError as exc:
+        raise ValueError(
+            f"cannot read {source!r} ({exc.strerror or exc})") from None
+
+
+def _fold_overrides(spec, root: str, values: Dict[str, object],
+                    flags: Optional[Dict[str, str]] = None):
+    """``spec`` with the flag ``values`` folded into its ``root`` block.
+
+    The folded document is validated again, so a bad flag value fails
+    with the same one-line dotted diagnostic as a bad spec.  A flag
+    whose leaf the spec sweeps could never win (the sweep replaces the
+    field per variant), so that is an error, never a silent no-op.
+    ``flags`` names the flag behind a leaf when it is not ``--<leaf>``.
+    """
+    if not values:
+        return spec
+    from ..scenarios import validate_spec
+
+    for leaf in values:
+        for axis in spec.sweep:
+            if (axis in (root, f"{root}.{leaf}")
+                    or axis.startswith(f"{root}.{leaf}.")):
+                flag = (flags or {}).get(leaf, f"--{leaf}")
+                raise ValueError(
+                    f"{flag} conflicts with the spec's sweep axis "
+                    f"{axis!r} — drop the flag or remove the axis")
+    doc = spec.to_dict()
+    doc[root] = {**doc.get(root, {}), **values}
+    return validate_spec(doc)
+
+
+def _open_results(args, family: str, name: str):
+    """``(store, directory)`` for one verb family's run of ``name``.
+
+    The store is ``None`` under ``--no-store``, where ``--resume`` has
+    nothing to replay and is rejected.  Raises ``ValueError`` with the
+    one-line diagnostic.
+    """
+    directory = args.results or os.path.join(
+        "results", _RUN_FAMILIES[family][0], name)
+    if getattr(args, "no_store", False):
+        if args.resume:
+            raise ValueError("--resume needs a store to replay — "
+                             "drop --no-store")
+        return None, directory
+    if family == "sim":
+        from ..sim import sim_store as opener
+    elif family == "adv":
+        from ..adversarial import adv_store as opener
+    else:
+        opener = _open_store
+    return opener(directory), directory
+
+
 def scenario_main(argv: Optional[List[str]] = None) -> int:
     """``repro-bench scenario {list,validate,run}``."""
     parser = argparse.ArgumentParser(
@@ -510,34 +611,14 @@ def scenario_main(argv: Optional[List[str]] = None) -> int:
     p_val.add_argument("spec", help="spec file (.json/.toml) or "
                                     "registered scenario name")
 
-    p_run = sub.add_parser(
-        "run", help="compile a spec and run it through the grid engine")
-    p_run.add_argument("spec", help="spec file (.json/.toml) or "
-                                    "registered scenario name")
-    p_run.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes (0 = one per CPU)")
-    p_run.add_argument("--results", default=None, metavar="DIR",
-                       help="ResultStore directory (default: "
-                            "results/scenarios/<name>)")
-    p_run.add_argument("--no-store", action="store_true",
-                       help="do not persist rows")
-    p_run.add_argument("--resume", action="store_true",
-                       help="reuse rows cached by previous runs")
-    p_run.add_argument("--format", default="text",
-                       choices=sorted(_EXTENSIONS), dest="fmt",
-                       metavar="{text,json,csv}",
-                       help="output format (default: text)")
-    p_run.add_argument("--out", default=None, metavar="DIR",
-                       help="also write the tables to DIR")
-    p_run.add_argument("--full", action="store_true",
-                       help="paper-scale suites for 'graphs.suite' axes")
+    _add_run_flags(sub.add_parser(
+        "run", help="compile a spec and run it through the grid engine"),
+        "scenario")
     args = parser.parse_args(argv)
 
     from ..scenarios import (
-        SpecError,
         compile_scenario,
         get_scenario,
-        load_spec,
         online_tables,
         run_scenario,
         scenario_names,
@@ -552,37 +633,20 @@ def scenario_main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     try:
-        spec = load_spec(args.spec)
-    except SpecError as exc:
-        return _fail(str(exc))
-    except OSError as exc:
-        return _fail(f"cannot read {args.spec!r} ({exc.strerror or exc})")
-
-    if args.verb == "validate":
-        try:
+        spec = _load_spec(args.spec)
+        if args.verb == "validate":
             compiled = compile_scenario(spec)
-        except SpecError as exc:
-            return _fail(str(exc))
-        graphs = sum(len(v.graphs) for v in compiled.variants)
-        print(f"OK: scenario {spec.name!r} — "
-              f"{len(compiled.variants)} variant(s), {graphs} graph(s), "
-              f"{compiled.num_cells} grid cell(s), "
-              f"algorithms: {', '.join(compiled.variants[0].algorithms)}")
-        return 0
-
-    # run
-    try:
+            graphs = sum(len(v.graphs) for v in compiled.variants)
+            print(f"OK: scenario {spec.name!r} — "
+                  f"{len(compiled.variants)} variant(s), {graphs} "
+                  f"graph(s), {compiled.num_cells} grid cell(s), "
+                  "algorithms: "
+                  f"{', '.join(compiled.variants[0].algorithms)}")
+            return 0
         compiled = compile_scenario(spec, full=True if args.full else None)
-    except SpecError as exc:
+        store, _ = _open_results(args, "scenario", spec.name)
+    except ValueError as exc:
         return _fail(str(exc))
-    store = None
-    if not args.no_store:
-        results_dir = args.results or os.path.join(
-            "results", "scenarios", spec.name)
-        try:
-            store = _open_store(results_dir)
-        except ValueError as exc:
-            return _fail(str(exc))
     result = run_scenario(compiled, jobs=args.jobs, store=store,
                           resume=args.resume)
     detail, summary = scenario_tables(result)
@@ -639,8 +703,6 @@ def sim_main(argv: Optional[List[str]] = None) -> int:
                     "ranking"),
     ):
         p = sub.add_parser(verb, help=text)
-        p.add_argument("spec", help="spec file (.json/.toml) or "
-                                    "registered scenario name")
         p.add_argument("--trials", type=int, default=None, metavar="N",
                        help="Monte-Carlo trials per cell "
                             "(default: spec value or 100)")
@@ -664,123 +726,45 @@ def sim_main(argv: Optional[List[str]] = None) -> int:
                        help="information modes for --online (default: "
                             "all of exact, blind, mean, user); implies "
                             "--online")
-        p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes (0 = one per CPU)")
-        p.add_argument("--results", default=None, metavar="DIR",
-                       help="ResultStore directory (default: "
-                            "results/sim/<name>)")
-        p.add_argument("--no-store", action="store_true",
-                       help="do not persist rows")
-        p.add_argument("--resume", action="store_true",
-                       help="reuse rows cached by previous runs")
-        p.add_argument("--format", default="text",
-                       choices=sorted(_EXTENSIONS), dest="fmt",
-                       metavar="{text,json,csv}",
-                       help="output format (default: text)")
-        p.add_argument("--out", default=None, metavar="DIR",
-                       help="also write the tables to DIR")
-        p.add_argument("--full", action="store_true",
-                       help="paper-scale suites for 'graphs.suite' axes")
+        _add_run_flags(p, "sim")
     args = parser.parse_args(argv)
 
-    from ..scenarios import (
-        SpecError,
-        compile_scenario,
-        load_spec,
-        run_sim_scenario,
-        sim_tables,
-        validate_spec,
-    )
-    from ..sim import sim_store
+    from ..scenarios import compile_scenario, run_scenario, sim_tables
 
+    noise_flags = (("--noise", "duration", args.noise),
+                   ("--speed-noise", "speed", args.speed_noise),
+                   ("--comm-noise", "comm", args.comm_noise))
     try:
-        spec = load_spec(args.spec)
-    except SpecError as exc:
-        return _fail(str(exc))
-    except OSError as exc:
-        return _fail(f"cannot read {args.spec!r} ({exc.strerror or exc})")
-
-    # Fold the CLI's execution-model overrides back into the document and
-    # re-validate, so flag errors surface as the same one-line dotted
-    # diagnostics as spec errors.  An override of a *swept* simulate
-    # field cannot win (the sweep replaces the field per variant), so
-    # that combination is an explicit error, never a silent no-op.
-    doc = spec.to_dict()
-    block = dict(doc.get("simulate", {}))
-    perturb = dict(block.get("perturb", {}))
-    online_block = dict(doc.get("online", {}))
-    overridden = []
-    try:
-        if args.trials is not None:
-            block["trials"] = args.trials
-            overridden.append(("--trials", "trials"))
-        if args.seed is not None:
-            block["seed"] = args.seed
-            overridden.append(("--seed", "seed"))
-        if args.network is not None:
-            block["network"] = args.network
-            overridden.append(("--network", "network"))
-        for flag, source, text in (
-            ("--noise", "duration", args.noise),
-            ("--speed-noise", "speed", args.speed_noise),
-            ("--comm-noise", "comm", args.comm_noise),
-        ):
-            if text is not None:
-                perturb[source] = _parse_noise(text, flag)
-                overridden.append((flag, "perturb"))
-    except ValueError as exc:
-        return _fail(str(exc))
-    online_overridden = []
-    if args.imode is not None:
-        online_block["imodes"] = [m.strip()
-                                  for m in args.imode.split(",") if m.strip()]
-        online_overridden.append(("--imode", "imodes"))
-    if args.online and not online_block:
-        # Bare --online: all modes, spec-or-default seed.
-        online_block["imodes"] = list(IMODES)
-        online_overridden.append(("--online", "imodes"))
-    for flag, leaf in overridden:
-        for axis in spec.sweep:
-            if (axis == "simulate"
-                    or axis == f"simulate.{leaf}"
-                    or axis.startswith(f"simulate.{leaf}.")):
-                return _fail(
-                    f"{flag} conflicts with the spec's sweep axis "
-                    f"{axis!r} — drop the flag or remove the axis")
-    for flag, leaf in online_overridden:
-        for axis in spec.sweep:
-            if (axis == "online"
-                    or axis == f"online.{leaf}"
-                    or axis.startswith(f"online.{leaf}.")):
-                return _fail(
-                    f"{flag} conflicts with the spec's sweep axis "
-                    f"{axis!r} — drop the flag or remove the axis")
-    if perturb:
-        block["perturb"] = perturb
-    if block:
-        doc["simulate"] = block
-    if online_block:
-        doc["online"] = online_block
-    try:
-        spec = validate_spec(doc)
+        spec = _load_spec(args.spec)
+        simulate = {leaf: value for leaf, value in (
+            ("trials", args.trials), ("seed", args.seed),
+            ("network", args.network)) if value is not None}
+        flags = {}
+        noise = {source: _parse_noise(text, flag)
+                 for flag, source, text in noise_flags if text is not None}
+        if noise:
+            simulate["perturb"] = {**spec.simulate.get("perturb", {}),
+                                   **noise}
+            flags["perturb"] = next(flag for flag, _, text in noise_flags
+                                    if text is not None)
+        spec = _fold_overrides(spec, "simulate", simulate, flags)
+        if args.imode is not None:
+            spec = _fold_overrides(
+                spec, "online",
+                {"imodes": [m.strip() for m in args.imode.split(",")
+                            if m.strip()]},
+                {"imodes": "--imode"})
+        elif args.online and not spec.online:
+            # Bare --online: all modes, spec-or-default seed.
+            spec = _fold_overrides(spec, "online", {"imodes": list(IMODES)},
+                                   {"imodes": "--online"})
         compiled = compile_scenario(spec, full=True if args.full else None)
-    except SpecError as exc:
-        return _fail(str(exc))
-
-    store = None
-    if not args.no_store:
-        results_dir = args.results or os.path.join(
-            "results", "sim", spec.name)
-        try:
-            store = sim_store(results_dir)
-        except ValueError as exc:
-            return _fail(str(exc))
-    try:
-        result = run_sim_scenario(compiled, jobs=args.jobs, store=store,
-                                  resume=args.resume)
+        store, _ = _open_results(args, "sim", spec.name)
+        # A run can still fail on its config, e.g. a contention backend
+        # whose topology is smaller than the scenario's machine.
+        result = run_scenario(compiled, jobs=args.jobs, store=store,
+                              resume=args.resume, engine="sim")
     except ValueError as exc:
-        # e.g. a contention backend whose topology is smaller than the
-        # scenario's machine — a config error, not a crash.
         return _fail(str(exc))
     detail, ranking = sim_tables(result)
     if args.verb == "run":
@@ -1086,60 +1070,6 @@ def loadtest_main(argv: Optional[List[str]] = None) -> int:
 # ----------------------------------------------------------------------
 # adv verbs
 # ----------------------------------------------------------------------
-def _adv_load(args):
-    """Shared front half of the adv verbs: spec + results directory.
-
-    Returns ``(spec, results_dir)`` or raises ``ValueError`` with the
-    one-line diagnostic.  ``search`` additionally folds the CLI's
-    override flags into the ``adversarial:`` block and re-validates.
-    """
-    from ..scenarios import SpecError, load_spec, validate_spec
-
-    try:
-        spec = load_spec(args.spec)
-    except SpecError as exc:
-        raise ValueError(str(exc)) from None
-    except OSError as exc:
-        raise ValueError(
-            f"cannot read {args.spec!r} ({exc.strerror or exc})") from None
-
-    overrides = {
-        leaf: getattr(args, attr, None)
-        for leaf, attr in (("pair", "pair"), ("objective", "objective"),
-                           ("steps", "steps"), ("chains", "chains"),
-                           ("temperature", "temperature"),
-                           ("seed", "seed"))
-        if getattr(args, attr, None) is not None
-    }
-    if overrides:
-        doc = spec.to_dict()
-        block = dict(doc.get("adversarial", {}))
-        block.update(overrides)
-        doc["adversarial"] = block
-        for leaf in overrides:
-            for axis in spec.sweep:
-                if (axis == "adversarial"
-                        or axis == f"adversarial.{leaf}"
-                        or axis.startswith(f"adversarial.{leaf}.")):
-                    raise ValueError(
-                        f"--{leaf} conflicts with the spec's sweep axis "
-                        f"{axis!r} — drop the flag or remove the axis")
-        try:
-            spec = validate_spec(doc)
-        except SpecError as exc:
-            raise ValueError(str(exc)) from None
-    # Only `search` needs the block; `show`/`export` work off the
-    # persisted store alone (e.g. after an ad-hoc --pair search).
-    if (args.verb == "search" and not spec.adversarial
-            and not spec.sweep):
-        raise ValueError(
-            f"scenario {spec.name!r} has no adversarial block — add one "
-            "to the spec, or pass --pair A B (plus optional --objective/"
-            "--steps/...) to search it ad hoc")
-    results_dir = args.results or os.path.join("results", "adv", spec.name)
-    return spec, results_dir
-
-
 def adv_main(argv: Optional[List[str]] = None) -> int:
     """``repro-bench adv {search,show,export}``.
 
@@ -1162,8 +1092,6 @@ def adv_main(argv: Optional[List[str]] = None) -> int:
 
     p_search = sub.add_parser(
         "search", help="run the annealing search for a scenario's pair")
-    p_search.add_argument("spec", help="spec file (.json/.toml) or "
-                                       "registered scenario name")
     p_search.add_argument("--pair", nargs=2, default=None,
                           metavar=("A", "B"),
                           help="ordered scheduler pair to maximise "
@@ -1182,24 +1110,7 @@ def adv_main(argv: Optional[List[str]] = None) -> int:
     p_search.add_argument("--seed", type=int, default=None,
                           help="search seed (chains derive their own "
                                "streams from it)")
-    p_search.add_argument("--jobs", type=int, default=1, metavar="N",
-                          help="worker processes (0 = one per CPU)")
-    p_search.add_argument("--results", default=None, metavar="DIR",
-                          help="ResultStore directory (default: "
-                               "results/adv/<name>)")
-    p_search.add_argument("--no-store", action="store_true",
-                          help="do not persist chains or the frontier")
-    p_search.add_argument("--resume", action="store_true",
-                          help="replay chains cached by previous runs")
-    p_search.add_argument("--format", default="text",
-                          choices=sorted(_EXTENSIONS), dest="fmt",
-                          metavar="{text,json,csv}",
-                          help="output format (default: text)")
-    p_search.add_argument("--out", default=None, metavar="DIR",
-                          help="also write the tables to DIR")
-    p_search.add_argument("--full", action="store_true",
-                          help="paper-scale suites for 'graphs.suite' "
-                               "axes")
+    _add_run_flags(p_search, "adv")
 
     p_show = sub.add_parser(
         "show", help="re-render a previous search's store and frontier")
@@ -1229,88 +1140,77 @@ def adv_main(argv: Optional[List[str]] = None) -> int:
                             "just the Pareto front")
     args = parser.parse_args(argv)
 
-    from ..adversarial import ParetoFrontier, adv_store
+    from ..adversarial import ParetoFrontier
     from ..scenarios import (
-        SpecError,
+        ScenarioResult,
         adv_tables,
         compile_scenario,
-        run_adv_scenario,
+        run_scenario,
     )
-    from ..scenarios.compile import AdvScenarioResult, CompiledScenario
 
     try:
-        spec, results_dir = _adv_load(args)
-    except ValueError as exc:
-        return _fail(str(exc))
-    frontier_path = os.path.join(results_dir, "frontier.json")
-
-    if args.verb == "search":
-        try:
+        spec = _load_spec(args.spec)
+        if args.verb == "search":
+            spec = _fold_overrides(spec, "adversarial", {
+                leaf: getattr(args, leaf)
+                for leaf in ("pair", "objective", "steps", "chains",
+                             "temperature", "seed")
+                if getattr(args, leaf) is not None})
+            if not spec.adversarial and not spec.sweep:
+                raise ValueError(
+                    f"scenario {spec.name!r} has no adversarial block — "
+                    "add one to the spec, or pass --pair A B (plus "
+                    "optional --objective/--steps/...) to search it "
+                    "ad hoc")
             compiled = compile_scenario(
                 spec, full=True if args.full else None)
-        except SpecError as exc:
-            return _fail(str(exc))
-        store = None
-        frontier = ParetoFrontier()
-        if not args.no_store:
-            try:
-                store = adv_store(results_dir)
-                frontier = ParetoFrontier(frontier_path)
-            except ValueError as exc:
-                return _fail(str(exc))
-        try:
-            result = run_adv_scenario(compiled, jobs=args.jobs,
-                                      store=store, resume=args.resume)
-        except (SpecError, ValueError) as exc:
-            return _fail(str(exc))
+        store, results_dir = _open_results(args, "adv", spec.name)
+        frontier_path = os.path.join(results_dir, "frontier.json")
+        frontier = (ParetoFrontier() if store is None
+                    else ParetoFrontier(frontier_path))
+        if args.verb == "search":
+            result = run_scenario(compiled, jobs=args.jobs, store=store,
+                                  resume=args.resume, engine="search")
+    except ValueError as exc:
+        return _fail(str(exc))
+
+    if args.verb == "search":
         frontier.update(result.all_rows())
         if store is not None:
             frontier.save(frontier_path)
-        detail, front = adv_tables(result, frontier)
-        _emit(_render_table(detail, args.fmt), f"adv_{spec.name}",
-              args.out, args.fmt)
-        _emit(_render_table(front, args.fmt), f"adv_{spec.name}_frontier",
-              args.out, args.fmt)
-        if store is not None:
-            print(f"[{len(store)} chain(s) persisted under "
-                  f"{store.directory}; frontier: {len(frontier)} "
-                  "point(s)]")
-        return 0
+    else:
+        # show / export work off the persisted store alone (e.g. after
+        # an ad-hoc --pair search on a spec without the block).
+        rows = store.rows()
+        if not rows:
+            return _fail(f"no chains stored under {results_dir!r} — run "
+                         f"'adv search {args.spec}' first")
+        if not len(frontier):
+            frontier.update(rows)
+        if args.verb == "export":
+            return _export_instances(rows, frontier, args.out, args.all)
+        result = ScenarioResult(spec, rows=[("store", rows)])
 
-    # show / export work off the persisted store alone — no search runs.
-    try:
-        store = adv_store(results_dir)
-        frontier = ParetoFrontier(frontier_path)
-    except ValueError as exc:
-        return _fail(str(exc))
-    rows = store.rows()
-    if not rows:
-        return _fail(f"no chains stored under {results_dir!r} — run "
-                     f"'adv search {args.spec}' first")
-    if not len(frontier):
-        frontier.update(rows)
+    detail, front = adv_tables(result, frontier)
+    _emit(_render_table(detail, args.fmt), f"adv_{spec.name}",
+          args.out, args.fmt)
+    _emit(_render_table(front, args.fmt), f"adv_{spec.name}_frontier",
+          args.out, args.fmt)
+    if args.verb == "search" and store is not None:
+        print(f"[{len(store)} chain(s) persisted under "
+              f"{store.directory}; frontier: {len(frontier)} point(s)]")
+    return 0
 
-    if args.verb == "show":
-        from .runner import BenchConfig
-        from ..scenarios.compile import Variant
 
-        stub = Variant(label="store", overrides={}, graphs=[],
-                       config=BenchConfig(), algorithms=())
-        result = AdvScenarioResult(
-            CompiledScenario(spec=spec, variants=[stub]),
-            rows=[(stub, rows)])
-        detail, front = adv_tables(result, frontier)
-        _emit(_render_table(detail, args.fmt), f"adv_{spec.name}",
-              args.out, args.fmt)
-        _emit(_render_table(front, args.fmt), f"adv_{spec.name}_frontier",
-              args.out, args.fmt)
-        return 0
+def _export_instances(rows, frontier, out: str, every: bool) -> int:
+    """``adv export``: write found instances as reloadable ``.stg`` files.
 
-    # export
+    ``every`` writes each chain's best instance, not just the frontier.
+    """
     import hashlib
 
     points = []
-    if args.all:
+    if every:
         points = [(r.instance, r.stg) for r in rows]
     else:
         for pair in frontier.pairs():
@@ -1321,7 +1221,7 @@ def adv_main(argv: Optional[List[str]] = None) -> int:
     # colliding content gets a short content-hash suffix — nothing is
     # silently dropped or overwritten.
     exported: Dict[str, str] = {}  # file stem -> content
-    os.makedirs(args.out, exist_ok=True)
+    os.makedirs(out, exist_ok=True)
     written = []
     for instance, stg in points:
         if not stg:
@@ -1333,13 +1233,13 @@ def adv_main(argv: Optional[List[str]] = None) -> int:
         if name in exported:  # identical content already written
             continue
         exported[name] = stg
-        path = os.path.join(args.out, f"{name}.stg")
+        path = os.path.join(out, f"{name}.stg")
         with open(path, "w") as fh:
             fh.write(stg)
         written.append(path)
     for path in written:
         print(path)
-    print(f"[{len(written)} instance(s) exported to {args.out}; reload "
+    print(f"[{len(written)} instance(s) exported to {out}; reload "
           "with repro.generators.load_graph]")
     return 0
 

@@ -92,13 +92,10 @@ class BenchConfig:
         bandwidth extend the fingerprint only when set, so the paper
         grid's fingerprints are unchanged from earlier releases.
         """
-        import hashlib
-
         topo = self.apn_topology or default_apn_topology()
-        links = hashlib.sha256(repr(topo.links).encode()).hexdigest()[:12]
         fp = (
             f"bnp={'v' if self.bnp_procs is None else self.bnp_procs}"
-            f";apn={topo.name}:{topo.num_procs}p:{links}"
+            f";apn={topo.name}:{topo.num_procs}p:{topo.links_digest()}"
             f";validate={int(self.validate_schedules)}"
         )
         if self.bnp_speeds is not None:

@@ -13,6 +13,7 @@ for robustness sweeps.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -123,6 +124,15 @@ class Topology:
     def transfer_time(self, cost: float) -> float:
         """Time one hop of a message of ``cost`` occupies its channel."""
         return cost / self.bandwidth
+
+    def links_digest(self) -> str:
+        """12 hex digits of a hash of the exact link set.
+
+        Every fingerprint that names a topology carries it, so two
+        structurally different topologies that share a name and a
+        processor count never share a cache key.
+        """
+        return hashlib.sha256(repr(self.links).encode()).hexdigest()[:12]
 
     def with_bandwidth(self, bandwidth: float) -> "Topology":
         """A copy of this topology whose links run at ``bandwidth``."""

@@ -11,24 +11,28 @@ is parallel (``jobs``), cached (``store``) and resumable (``resume``).
 >>> compiled = compile_scenario(get_scenario("hetero-speeds"))
 >>> result = run_scenario(compiled, jobs=4)
 
+:func:`run_scenario` is the one runner for every measurement: the
+static grid by default, ``engine="sim"`` to execute the schedules
+Monte-Carlo under the spec's ``simulate:`` block, ``engine="search"``
+to run the ``adversarial:`` instance search.  Each returns one
+:class:`ScenarioResult`, rendered by :func:`scenario_tables` (plus
+:func:`online_tables`), :func:`sim_tables` or :func:`adv_tables`.
+
 See :mod:`repro.scenarios.spec` for the document schema,
 :mod:`repro.scenarios.registry` for the ready-made scenarios, and the
-CLI verbs ``python -m repro.bench scenario {list,validate,run}``.
+CLI verbs ``python -m repro.bench scenario {list,validate,run}``,
+``sim {run,compare}`` and ``adv {search,show,export}``.
 """
 
 from .compile import (
-    AdvScenarioResult,
     CompiledScenario,
     ScenarioResult,
-    SimScenarioResult,
     Variant,
     adv_tables,
     compile_scenario,
     online_counterpart,
     online_tables,
-    run_adv_scenario,
     run_scenario,
-    run_sim_scenario,
     scenario_tables,
     sim_tables,
 )
@@ -57,12 +61,8 @@ __all__ = [
     "Variant",
     "CompiledScenario",
     "ScenarioResult",
-    "SimScenarioResult",
-    "AdvScenarioResult",
     "compile_scenario",
     "run_scenario",
-    "run_sim_scenario",
-    "run_adv_scenario",
     "scenario_tables",
     "sim_tables",
     "adv_tables",

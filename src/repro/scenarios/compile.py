@@ -3,11 +3,14 @@
 A validated :class:`~repro.scenarios.spec.ScenarioSpec` lowers to a
 list of :class:`Variant` objects — one per sweep point — each carrying
 the concrete graphs, the :class:`~repro.bench.runner.BenchConfig` and
-the algorithm names for one ``run_grid`` call.  Running a compiled
-scenario therefore inherits everything the PR-1 engine provides:
-``jobs`` fans cells over worker processes, a
-:class:`~repro.bench.store.ResultStore` persists rows keyed by the
-config fingerprint, and ``resume`` replays cached cells verbatim.
+the algorithm names for one engine call.  :func:`run_scenario` is the
+one loop over the variants; its ``engine`` names the measurement (the
+static grid, Monte-Carlo execution or the adversarial search), and
+every engine runs on the parallel grid executor: ``jobs`` fans cells
+over worker processes, a :class:`~repro.bench.store.ResultStore`
+persists rows keyed by the config fingerprint, and ``resume`` replays
+cached cells verbatim.  Every run comes back as one
+:class:`ScenarioResult`.
 
 Everything here is deterministic: graphs come from seeded generators,
 variants enumerate the sweep's cartesian product in axis order, and
@@ -39,13 +42,9 @@ __all__ = [
     "Variant",
     "CompiledScenario",
     "ScenarioResult",
-    "SimScenarioResult",
-    "AdvScenarioResult",
     "compile_scenario",
     "online_counterpart",
     "run_scenario",
-    "run_sim_scenario",
-    "run_adv_scenario",
     "scenario_tables",
     "sim_tables",
     "adv_tables",
@@ -311,119 +310,84 @@ def compile_scenario(spec: ScenarioSpec,
 # ----------------------------------------------------------------------
 @dataclass
 class ScenarioResult:
-    """Rows of every variant of one scenario run."""
+    """Rows of one scenario run, grouped per variant label.
 
-    compiled: CompiledScenario
-    rows: List[Tuple[Variant, List[RunResult]]] = field(
-        default_factory=list)
+    Every engine fills the same shape: ``rows`` pairs each variant's
+    label with its rows — :class:`~repro.metrics.measures.RunResult`
+    from the grid, :class:`~repro.sim.bench.RobustnessRow` from the
+    sim grid, :class:`~repro.adversarial.search.SearchRow` from the
+    search.  ``variants`` holds the compiled variants behind the rows,
+    in the same order; rows read back from a store have none.
+    """
 
-    @property
-    def spec(self) -> ScenarioSpec:
-        return self.compiled.spec
-
-
-@dataclass
-class SimScenarioResult:
-    """Monte-Carlo rows of every variant of one simulated scenario run."""
-
-    compiled: CompiledScenario
-    rows: List[Tuple[Variant, List]] = field(default_factory=list)
-
-    @property
-    def spec(self) -> ScenarioSpec:
-        return self.compiled.spec
+    spec: ScenarioSpec
+    rows: List[Tuple[str, List]] = field(default_factory=list)
+    variants: List[Variant] = field(default_factory=list)
 
     def all_rows(self) -> List:
         return [row for _, rows in self.rows for row in rows]
 
 
-def run_sim_scenario(compiled: CompiledScenario,
-                     jobs: Optional[int] = None,
-                     store=None,
-                     resume: bool = False) -> SimScenarioResult:
-    """Execute every variant's schedules through the sim grid.
+def _grid_rows(variant: Variant, **engine) -> List[RunResult]:
+    from ..bench.runner import run_grid
 
-    Variants without their own ``simulate`` axis inherit the spec's
-    block; a scenario with no ``simulate:`` block at all still runs,
-    deterministically (zero noise) — useful as a sanity anchor.  The
-    shared ``store`` keys rows by the combined bench|sim fingerprint.
-    """
+    return run_grid(list(variant.algorithms), variant.graphs,
+                    config=variant.config, optima=variant.optima, **engine)
+
+
+def _sim_rows(variant: Variant, **engine) -> List:
+    # A variant without a simulate block still runs, deterministically
+    # (zero noise) — useful as a sanity anchor.
     from ..sim.bench import SimConfig, run_sim_grid
 
-    result = SimScenarioResult(compiled)
-    for variant in compiled.variants:
-        rows = run_sim_grid(
-            list(variant.algorithms), variant.graphs,
-            config=variant.config, sim=variant.sim or SimConfig(),
-            jobs=jobs, store=store, resume=resume,
-        )
-        result.rows.append((variant, rows))
-    return result
+    return run_sim_grid(list(variant.algorithms), variant.graphs,
+                        config=variant.config,
+                        sim=variant.sim or SimConfig(), **engine)
 
 
-@dataclass
-class AdvScenarioResult:
-    """Finished search chains of every variant of one scenario run."""
-
-    compiled: CompiledScenario
-    rows: List[Tuple[Variant, List]] = field(default_factory=list)
-
-    @property
-    def spec(self) -> ScenarioSpec:
-        return self.compiled.spec
-
-    def all_rows(self) -> List:
-        return [row for _, rows in self.rows for row in rows]
-
-
-def run_adv_scenario(compiled: CompiledScenario,
-                     jobs: Optional[int] = None,
-                     store=None,
-                     resume: bool = False) -> AdvScenarioResult:
-    """Run every variant's adversarial search over its graph axis.
-
-    The spec must carry an ``adversarial:`` block (directly or via a
-    sweep override); each variant's graphs become the chains' seed
-    instances.  The shared ``store`` caches chains keyed by the search
-    fingerprint, so ``resume`` replays a finished search verbatim.
-    """
+def _search_rows(variant: Variant, **engine) -> List:
+    if variant.adv is None:
+        raise SpecError(
+            "adversarial",
+            f"variant {variant.label!r} has no adversarial block — "
+            "add one to the spec (or to every sweep point)")
     from ..adversarial.search import run_search
 
-    result = AdvScenarioResult(compiled)
-    for variant in compiled.variants:
-        if variant.adv is None:
-            raise SpecError(
-                "adversarial",
-                f"variant {variant.label!r} has no adversarial block — "
-                "add one to the spec (or to every sweep point)")
-        rows = run_search(
-            variant.adv, variant.graphs, bench=variant.config,
-            jobs=jobs, store=store, resume=resume,
-        )
-        result.rows.append((variant, rows))
-    return result
+    return run_search(variant.adv, variant.graphs, bench=variant.config,
+                      **engine)
+
+
+#: The engine each measurement runs a variant through.
+_ENGINES = {"grid": _grid_rows, "sim": _sim_rows, "search": _search_rows}
 
 
 def run_scenario(compiled: CompiledScenario,
                  jobs: Optional[int] = None,
                  store=None,
-                 resume: bool = False) -> ScenarioResult:
-    """Run every variant through the grid engine, in variant order.
+                 resume: bool = False,
+                 engine: str = "grid") -> ScenarioResult:
+    """Run every variant through one engine, in variant order.
 
-    All variants share one store: their config fingerprints (and graph
-    names) keep the cache keys apart, and variants that happen to agree
-    on a cell reuse each other's rows under ``resume``.
+    ``engine`` picks the measurement: ``"grid"`` schedules each cell
+    (:func:`~repro.bench.runner.run_grid`), ``"sim"`` also executes the
+    schedules Monte-Carlo under the variant's ``simulate:`` block
+    (:func:`~repro.sim.bench.run_sim_grid`), and ``"search"`` anneals
+    the variant's ``adversarial:`` pair from its graphs
+    (:func:`~repro.adversarial.search.run_search`).  All variants share
+    one store: fingerprints (and graph names) keep the cache keys
+    apart, and variants that agree on a cell reuse each other's rows
+    under ``resume``.
     """
-    from ..bench.runner import run_grid
-
-    result = ScenarioResult(compiled)
+    try:
+        run = _ENGINES[engine]
+    except KeyError:
+        raise ValueError(f"unknown engine {engine!r} (expected one of "
+                         f"{', '.join(_ENGINES)})") from None
+    result = ScenarioResult(compiled.spec, variants=compiled.variants)
     for variant in compiled.variants:
-        rows = run_grid(
-            list(variant.algorithms), variant.graphs,
-            config=variant.config, optima=variant.optima,
-            jobs=jobs, store=store, resume=resume,
-        )
-        result.rows.append((variant, rows))
+        result.rows.append(
+            (variant.label, run(variant, jobs=jobs, store=store,
+                                resume=resume)))
     return result
 
 
@@ -448,10 +412,10 @@ def scenario_tables(result: ScenarioResult) -> Tuple[Table, Table]:
     metrics = list(spec.metrics)
 
     detail_rows: List[List[str]] = []
-    for variant, rows in result.rows:
+    for label, rows in result.rows:
         for row in rows:
             detail_rows.append(
-                [variant.label, row.graph, str(row.num_nodes),
+                [label, row.graph, str(row.num_nodes),
                  row.algorithm]
                 + [_metric_cell(row, m) for m in metrics]
             )
@@ -463,7 +427,7 @@ def scenario_tables(result: ScenarioResult) -> Tuple[Table, Table]:
     )
 
     summary_rows: List[List[str]] = []
-    for variant, rows in result.rows:
+    for variant, (_, rows) in zip(result.variants, result.rows):
         per_alg: Dict[str, List[RunResult]] = {}
         for row in rows:
             per_alg.setdefault(row.algorithm, []).append(row)
@@ -490,7 +454,7 @@ def scenario_tables(result: ScenarioResult) -> Tuple[Table, Table]:
     return detail, summary
 
 
-def adv_tables(result: AdvScenarioResult,
+def adv_tables(result: ScenarioResult,
                frontier=None) -> Tuple[Table, Table]:
     """Render a search run as (per-chain detail, Pareto front) tables.
 
@@ -503,10 +467,10 @@ def adv_tables(result: AdvScenarioResult,
 
     spec = result.spec
     detail_rows: List[List[str]] = []
-    for variant, rows in result.rows:
+    for label, rows in result.rows:
         for r in rows:
             detail_rows.append([
-                variant.label, r.algorithm, r.graph, r.objective,
+                label, r.algorithm, r.graph, r.objective,
                 f"{r.start_score:.3f}", f"{r.score:.3f}",
                 f"{r.length_a:g}", f"{r.length_b:g}",
                 str(r.num_nodes), str(r.num_edges),
@@ -571,7 +535,7 @@ def online_tables(result: ScenarioResult) -> Table:
 
     spec = result.spec
     out_rows: List[List[str]] = []
-    for variant, rows in result.rows:
+    for variant, (_, rows) in zip(result.variants, result.rows):
         if not variant.online:
             continue
         statics = [a for a in variant.algorithms
@@ -619,7 +583,7 @@ def online_tables(result: ScenarioResult) -> Table:
     )
 
 
-def sim_tables(result: SimScenarioResult) -> Tuple[Table, Table]:
+def sim_tables(result: ScenarioResult) -> Tuple[Table, Table]:
     """Render a sim run as (per-cell detail, robustness ranking) tables.
 
     The detail table lists every Monte-Carlo cell's distribution
@@ -632,10 +596,10 @@ def sim_tables(result: SimScenarioResult) -> Tuple[Table, Table]:
 
     spec = result.spec
     detail_rows: List[List[str]] = []
-    for variant, rows in result.rows:
+    for label, rows in result.rows:
         for r in rows:
             detail_rows.append([
-                variant.label, r.graph, str(r.num_nodes), r.algorithm,
+                label, r.graph, str(r.num_nodes), r.algorithm,
                 f"{r.predicted:g}", f"{r.mean:.1f}", f"{r.std:.1f}",
                 f"{r.p95:.1f}", f"{r.worst:.1f}",
                 f"{r.mean_degradation_pct:+.2f}",
@@ -654,10 +618,10 @@ def sim_tables(result: SimScenarioResult) -> Tuple[Table, Table]:
     )
 
     ranking_rows: List[List[str]] = []
-    for variant, rows in result.rows:
+    for label, rows in result.rows:
         for alg, pred, sim, shift in robustness_ranking(rows):
             ranking_rows.append([
-                variant.label, alg, f"{pred:.2f}", f"{sim:.2f}",
+                label, alg, f"{pred:.2f}", f"{sim:.2f}",
                 f"{shift:+.2f}",
             ])
     ranking = Table(

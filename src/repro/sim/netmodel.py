@@ -125,12 +125,8 @@ class ContentionNetwork(NetworkModel):
         return msg.arrival, msg
 
     def fingerprint(self) -> str:
-        import hashlib
-
-        links = hashlib.sha256(
-            repr(self.topology.links).encode()).hexdigest()[:12]
         fp = (f"contention:{self.topology.name}:"
-              f"{self.topology.num_procs}p:{links}")
+              f"{self.topology.num_procs}p:{self.topology.links_digest()}")
         if self.topology.bandwidth != 1.0:  # repro: noqa-RPR005 fingerprint identity check on configured value
             fp += f":bw={self.topology.bandwidth:g}"
         return fp

@@ -319,7 +319,7 @@ class TestScenarioIntegration:
         from repro.scenarios import (
             adv_tables,
             compile_scenario,
-            run_adv_scenario,
+            run_scenario,
             validate_spec,
         )
 
@@ -331,8 +331,8 @@ class TestScenarioIntegration:
             "adversarial": {"pair": ["LAST", "MCP"], "steps": 8,
                             "chains": 2, "temperature": 0, "seed": 1},
         })
-        result = run_adv_scenario(compile_scenario(spec),
-                                  store=adv_store(str(tmp_path)))
+        result = run_scenario(compile_scenario(spec), engine="search",
+                              store=adv_store(str(tmp_path)))
         detail, front = adv_tables(result)
         assert len(detail.rows) == 2
         assert len(front.rows) >= 1
@@ -343,9 +343,9 @@ class TestScenarioIntegration:
             SpecError,
             compile_scenario,
             get_scenario,
-            run_adv_scenario,
+            run_scenario,
         )
 
         compiled = compile_scenario(get_scenario("graph-shapes"))
         with pytest.raises(SpecError, match="no adversarial block"):
-            run_adv_scenario(compiled)
+            run_scenario(compiled, engine="search")

@@ -375,6 +375,18 @@ class TestScenarioVerbsShareOneFrontHalf:
         for filename in files:
             assert (store_dir / filename).exists(), filename
 
+    @pytest.mark.parametrize("verb", sorted(_VERB_RUNS))
+    def test_resume_without_a_store_exits_2(self, verb, tmp_path, capsys,
+                                            monkeypatch):
+        argv, _ = _VERB_RUNS[verb]
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--no-store", "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-bench: error: --resume")
+        assert "--no-store" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "results").exists()
+
 
 class TestAlgoVerbs:
     """``repro-bench algo list/describe`` — the unified name listing."""

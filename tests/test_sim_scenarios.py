@@ -9,7 +9,7 @@ from repro.scenarios import (
     SpecError,
     compile_scenario,
     get_scenario,
-    run_sim_scenario,
+    run_scenario,
     sim_tables,
     validate_spec,
 )
@@ -97,7 +97,7 @@ class TestCompileAndRun:
         spec = validate_spec(_spec_doc(
             trials=5, perturb={"duration": {"dist": "uniform",
                                             "param": 0.2}}))
-        result = run_sim_scenario(compile_scenario(spec))
+        result = run_scenario(compile_scenario(spec), engine="sim")
         assert len(result.all_rows()) == 2  # 1 graph x 2 algorithms
         detail, ranking = sim_tables(result)
         assert len(detail.rows) == 2
