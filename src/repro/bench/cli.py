@@ -544,30 +544,35 @@ def _load_spec(source: str):
             f"cannot read {source!r} ({exc.strerror or exc})") from None
 
 
-def _fold_overrides(spec, root: str, values: Dict[str, object],
+def _fold_overrides(spec, blocks: Dict[str, Dict[str, object]],
                     flags: Optional[Dict[str, str]] = None):
-    """``spec`` with the flag ``values`` folded into its ``root`` block.
+    """``spec`` with flag values folded in, ``{root: {leaf: value}}``.
 
-    The folded document is validated again, so a bad flag value fails
-    with the same one-line dotted diagnostic as a bad spec.  A flag
-    whose leaf the spec sweeps could never win (the sweep replaces the
-    field per variant), so that is an error, never a silent no-op.
-    ``flags`` names the flag behind a leaf when it is not ``--<leaf>``.
+    Each value replaces ``root.leaf``; the folded document is validated
+    again, so a bad flag value fails with the same one-line dotted
+    diagnostic as a bad spec.  A flag whose leaf the spec sweeps could
+    never win (the sweep replaces the field per variant), so that is an
+    error, never a silent no-op; every block is checked before any is
+    validated.  ``flags`` names the flag behind a leaf when it is not
+    ``--<leaf>``.
     """
-    if not values:
+    if not any(blocks.values()):
         return spec
     from ..scenarios import validate_spec
 
-    for leaf in values:
-        for axis in spec.sweep:
-            if (axis in (root, f"{root}.{leaf}")
-                    or axis.startswith(f"{root}.{leaf}.")):
-                flag = (flags or {}).get(leaf, f"--{leaf}")
-                raise ValueError(
-                    f"{flag} conflicts with the spec's sweep axis "
-                    f"{axis!r} — drop the flag or remove the axis")
+    for root, values in blocks.items():
+        for leaf in values:
+            for axis in spec.sweep:
+                if (axis in (root, f"{root}.{leaf}")
+                        or axis.startswith(f"{root}.{leaf}.")):
+                    flag = (flags or {}).get(leaf, f"--{leaf}")
+                    raise ValueError(
+                        f"{flag} conflicts with the spec's sweep axis "
+                        f"{axis!r} — drop the flag or remove the axis")
     doc = spec.to_dict()
-    doc[root] = {**doc.get(root, {}), **values}
+    for root, values in blocks.items():
+        if values:
+            doc[root] = {**doc.get(root, {}), **values}
     return validate_spec(doc)
 
 
@@ -731,33 +736,35 @@ def sim_main(argv: Optional[List[str]] = None) -> int:
 
     from ..scenarios import compile_scenario, run_scenario, sim_tables
 
-    noise_flags = (("--noise", "duration", args.noise),
-                   ("--speed-noise", "speed", args.speed_noise),
-                   ("--comm-noise", "comm", args.comm_noise))
     try:
         spec = _load_spec(args.spec)
         simulate = {leaf: value for leaf, value in (
             ("trials", args.trials), ("seed", args.seed),
             ("network", args.network)) if value is not None}
-        flags = {}
-        noise = {source: _parse_noise(text, flag)
-                 for flag, source, text in noise_flags if text is not None}
+        noise: Dict[str, object] = {}
+        flags: Dict[str, str] = {}
+        for flag, source, text in (
+            ("--noise", "duration", args.noise),
+            ("--speed-noise", "speed", args.speed_noise),
+            ("--comm-noise", "comm", args.comm_noise),
+        ):
+            if text is not None:
+                noise[source] = _parse_noise(text, flag)
+                flags.setdefault("perturb", flag)
         if noise:
             simulate["perturb"] = {**spec.simulate.get("perturb", {}),
                                    **noise}
-            flags["perturb"] = next(flag for flag, _, text in noise_flags
-                                    if text is not None)
-        spec = _fold_overrides(spec, "simulate", simulate, flags)
+        online: Dict[str, object] = {}
         if args.imode is not None:
-            spec = _fold_overrides(
-                spec, "online",
-                {"imodes": [m.strip() for m in args.imode.split(",")
-                            if m.strip()]},
-                {"imodes": "--imode"})
+            online["imodes"] = [m.strip() for m in args.imode.split(",")
+                                if m.strip()]
+            flags["imodes"] = "--imode"
         elif args.online and not spec.online:
             # Bare --online: all modes, spec-or-default seed.
-            spec = _fold_overrides(spec, "online", {"imodes": list(IMODES)},
-                                   {"imodes": "--online"})
+            online["imodes"] = list(IMODES)
+            flags["imodes"] = "--online"
+        spec = _fold_overrides(
+            spec, {"simulate": simulate, "online": online}, flags)
         compiled = compile_scenario(spec, full=True if args.full else None)
         store, _ = _open_results(args, "sim", spec.name)
         # A run can still fail on its config, e.g. a contention backend
@@ -1151,11 +1158,11 @@ def adv_main(argv: Optional[List[str]] = None) -> int:
     try:
         spec = _load_spec(args.spec)
         if args.verb == "search":
-            spec = _fold_overrides(spec, "adversarial", {
+            spec = _fold_overrides(spec, {"adversarial": {
                 leaf: getattr(args, leaf)
                 for leaf in ("pair", "objective", "steps", "chains",
                              "temperature", "seed")
-                if getattr(args, leaf) is not None})
+                if getattr(args, leaf) is not None}})
             if not spec.adversarial and not spec.sweep:
                 raise ValueError(
                     f"scenario {spec.name!r} has no adversarial block — "
